@@ -38,6 +38,12 @@
 //!    (worst relative error on the damped contour) than a mid-band
 //!    Padé expansion of the same order. Algorithmic again: the
 //!    band-global Hankel criterion vs local moment matching.
+//! 7. **Minimum-degree ordering scaling** — from
+//!    `BENCH_sparse_ldlt.json`: ordering a 20 000-vertex path must take
+//!    less than 8× as long as a 5 000-vertex one. The heap-driven
+//!    ordering is `O(n log n)` on a path (measured ratio ≈ 3.2); a
+//!    selection scan per elimination step is `O(n²)` (ratio ≈ 16–18).
+//!    A ratio of two runs on one machine, so it holds on any core count.
 //!
 //! Run with `cargo run --release -p mpvl-bench --bin bench_gate`;
 //! exits nonzero with a diagnostic on the first violated gate.
@@ -240,6 +246,26 @@ fn main() {
             "bench_gate ok: balanced-truncation worst-band error {eb:.3e} vs \
              equal-order Padé {ep:.3e} on the PEEC band ({:.2}x tighter)",
             ep / eb
+        );
+    }
+
+    // Gate 7: minimum-degree ordering must scale near-linearly on a
+    // path (the shape of every ladder workload).
+    let small = require(&sparse, "sparse_ldlt", "order_mindegree/path5000");
+    let large = require(&sparse, "sparse_ldlt", "order_mindegree/path20000");
+    const ORDER_SCALING_LIMIT: f64 = 8.0;
+    let ratio = large / small;
+    if !ratio.is_finite() || ratio >= ORDER_SCALING_LIMIT {
+        eprintln!(
+            "bench_gate FAIL: min-degree ordering of a 20000-vertex path took {ratio:.2}x \
+             the 5000-vertex time ({large:.3e}s vs {small:.3e}s; allowed \
+             {ORDER_SCALING_LIMIT}x) — selection has gone quadratic"
+        );
+        failures += 1;
+    } else {
+        println!(
+            "bench_gate ok: min-degree ordering path20000 {large:.3e}s vs path5000 \
+             {small:.3e}s (ratio {ratio:.2}, limit {ORDER_SCALING_LIMIT})"
         );
     }
 

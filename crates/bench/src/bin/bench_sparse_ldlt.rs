@@ -1,12 +1,15 @@
 //! Micro-benchmarks of the sparse LDLᵀ substrate: factorization and solve
-//! cost vs size, and the effect of the fill-reducing ordering.
+//! cost vs size, the effect of the fill-reducing ordering, and the cost
+//! of the minimum-degree ordering alone on paths (the shape of a ladder)
+//! and 2-D grids (the shape of a mesh) — `bench_gate` Gate 7 reads the
+//! path scaling.
 //!
 //! Run with `cargo run --release -p mpvl-bench --bin bench_sparse_ldlt`;
 //! writes `target/bench/BENCH_sparse_ldlt.json`.
 
 use mpvl_circuit::generators::{interconnect, InterconnectParams};
 use mpvl_circuit::MnaSystem;
-use mpvl_sparse::{NumericLdlt, Ordering, SparseLdlt, SymbolicLdlt};
+use mpvl_sparse::{min_degree, NumericLdlt, Ordering, SparseLdlt, SymbolicLdlt};
 use mpvl_testkit::bench::Bench;
 use std::sync::Arc;
 
@@ -25,6 +28,28 @@ fn systems() -> Vec<(usize, mpvl_sparse::CscMat<f64>)> {
             (k.nrows(), k)
         })
         .collect()
+}
+
+/// Adjacency of a `rows × cols` grid graph (a path when `rows == 1`).
+fn grid_adjacency(rows: usize, cols: usize) -> Vec<Vec<usize>> {
+    let mut adj = vec![Vec::new(); rows * cols];
+    for r in 0..rows {
+        for c in 0..cols {
+            let i = r * cols + c;
+            if c + 1 < cols {
+                adj[i].push(i + 1);
+                adj[i + 1].push(i);
+            }
+            if r + 1 < rows {
+                adj[i].push(i + cols);
+                adj[i + cols].push(i);
+            }
+        }
+    }
+    for l in &mut adj {
+        l.sort_unstable();
+    }
+    adj
 }
 
 fn main() {
@@ -76,10 +101,22 @@ fn main() {
         ("natural", Ordering::Natural),
         ("rcm", Ordering::Rcm),
         ("mindegree", Ordering::MinDegree),
-        ("quotient_md", Ordering::QuotientMinDegree),
     ] {
         bench.bench(&format!("ldlt_ordering/{name}"), || {
             SparseLdlt::factor(&k, o).expect("factor");
+        });
+    }
+
+    for n in [5000, 20000] {
+        let adj = grid_adjacency(1, n);
+        bench.bench(&format!("order_mindegree/path{n}"), || {
+            std::hint::black_box(min_degree(std::hint::black_box(&adj)));
+        });
+    }
+    for k in [50, 100] {
+        let adj = grid_adjacency(k, k);
+        bench.bench(&format!("order_mindegree/grid{k}"), || {
+            std::hint::black_box(min_degree(std::hint::black_box(&adj)));
         });
     }
 

@@ -88,6 +88,14 @@ pub struct MnaSystem {
     pub num_node_unknowns: usize,
     /// Number of inductor-current unknowns (general form only).
     pub num_inductor_unknowns: usize,
+    /// `true` when the topology alone makes `G` singular, whatever the
+    /// element values: some node has no path to ground through the
+    /// elements that stamp `G` (resistors in the RC form, inductors in
+    /// the RL/LC forms, both in the general form), or — general form
+    /// only — the inductors close a loop. Set by the `assemble*`
+    /// constructors; `false` means "not known to be singular", the
+    /// right value for a hand-built system.
+    pub g_structurally_singular: bool,
 }
 
 impl MnaSystem {
@@ -240,6 +248,7 @@ impl MnaSystem {
             class: ckt.classify(),
             num_node_unknowns: nv,
             num_inductor_unknowns: nl,
+            g_structurally_singular: g_structurally_singular(ckt, StampsG::General),
         })
     }
 
@@ -275,6 +284,7 @@ impl MnaSystem {
             class: CircuitClass::Rc,
             num_node_unknowns: nv,
             num_inductor_unknowns: 0,
+            g_structurally_singular: g_structurally_singular(ckt, StampsG::Resistors),
         })
     }
 
@@ -311,6 +321,7 @@ impl MnaSystem {
             class: CircuitClass::Rl,
             num_node_unknowns: nv,
             num_inductor_unknowns: 0,
+            g_structurally_singular: g_structurally_singular(ckt, StampsG::Inductors),
         })
     }
 
@@ -347,6 +358,7 @@ impl MnaSystem {
             class: CircuitClass::Lc,
             num_node_unknowns: nv,
             num_inductor_unknowns: 0,
+            g_structurally_singular: g_structurally_singular(ckt, StampsG::Inductors),
         })
     }
 
@@ -402,6 +414,94 @@ impl MnaSystem {
         let x = lu.solve_mat(&bz)?;
         let z = bz.t_matmul(&x);
         Ok(z.scale(self.output_factor(s)))
+    }
+}
+
+/// Which elements stamp `G` in an MNA form.
+#[derive(Clone, Copy, PartialEq)]
+enum StampsG {
+    /// RC form: `G = AᵍᵀΓAᵍ`.
+    Resistors,
+    /// RL/LC forms: `G = Aˡᵀ𝓛⁻¹Aˡ`. Mutual coupling only mixes the
+    /// rows of `Aˡ`, so it adds no connectivity.
+    Inductors,
+    /// General eq.-(3) form: resistors in the node block, inductor
+    /// incidence in the off-diagonal blocks, a zero current block.
+    General,
+}
+
+/// Decides from topology whether `G` has a null vector for every choice
+/// of element values ([`MnaSystem::g_structurally_singular`]).
+///
+/// * A connected component (over the elements that stamp `G`) without
+///   ground: the vector that is 1 on its node voltages and 0 elsewhere
+///   is annihilated by every such stamp.
+/// * An inductor loop in the general form: a unit current circulating
+///   around it satisfies KCL at every node and touches no node voltage,
+///   so it is annihilated by the incidence blocks and the zero block.
+///
+/// A VCCS stamps the node block nonsymmetrically and could feed a
+/// floating component from outside, so with one present only the
+/// inductor-loop test (whose null vector has no node voltages) answers.
+fn g_structurally_singular(ckt: &Circuit, form: StampsG) -> bool {
+    let n = ckt.num_nodes();
+    let mut to_ground = UnionFind::new(n);
+    let mut inductor_forest = UnionFind::new(n);
+    let mut has_vccs = false;
+    for e in ckt.elements() {
+        match *e {
+            Element::Resistor { a, b, .. } if form != StampsG::Inductors => {
+                to_ground.union(a, b);
+            }
+            Element::Inductor { a, b, .. } if form != StampsG::Resistors => {
+                to_ground.union(a, b);
+                if form == StampsG::General && !inductor_forest.union(a, b) {
+                    return true;
+                }
+            }
+            Element::Vccs { .. } => has_vccs = true,
+            _ => {}
+        }
+    }
+    let ground = to_ground.find(0);
+    !has_vccs && (1..n).any(|v| to_ground.find(v) != ground)
+}
+
+/// Disjoint sets over node indices (path halving, union by size).
+struct UnionFind {
+    parent: Vec<usize>,
+    size: Vec<usize>,
+}
+
+impl UnionFind {
+    fn new(n: usize) -> Self {
+        UnionFind {
+            parent: (0..n).collect(),
+            size: vec![1; n],
+        }
+    }
+
+    fn find(&mut self, mut v: usize) -> usize {
+        while self.parent[v] != v {
+            self.parent[v] = self.parent[self.parent[v]];
+            v = self.parent[v];
+        }
+        v
+    }
+
+    /// Merges the sets of `a` and `b`; `false` when they were already
+    /// one set (the new edge closes a cycle).
+    fn union(&mut self, a: usize, b: usize) -> bool {
+        let (mut ra, mut rb) = (self.find(a), self.find(b));
+        if ra == rb {
+            return false;
+        }
+        if self.size[ra] < self.size[rb] {
+            std::mem::swap(&mut ra, &mut rb);
+        }
+        self.parent[rb] = ra;
+        self.size[ra] += self.size[rb];
+        true
     }
 }
 
@@ -728,5 +828,158 @@ mod tests {
         assert!((z[(0, 1)].re - 50.0).abs() < 1e-9);
         assert!((z[(1, 0)].re - 50.0).abs() < 1e-9);
         assert!((z[(1, 1)].re - 50.0).abs() < 1e-9);
+    }
+
+    /// Smallest |eigenvalue| of the dense `G`, relative to the largest.
+    fn g_relative_gap(sys: &MnaSystem) -> f64 {
+        let e = mpvl_la::sym_eigen(&sys.g.to_dense()).unwrap();
+        let abs: Vec<f64> = e.values.iter().map(|v| v.abs()).collect();
+        let lo = abs.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = abs.iter().copied().fold(0.0, f64::max);
+        lo / hi
+    }
+
+    /// Asserts the flag and, as a cross-check, the numerics behind it.
+    fn assert_flag(sys: &MnaSystem, singular: bool) {
+        assert_eq!(sys.g_structurally_singular, singular);
+        let gap = g_relative_gap(sys);
+        if singular {
+            assert!(gap < 1e-12, "flagged G has relative gap {gap:e}");
+        } else {
+            assert!(gap > 1e-8, "unflagged G has relative gap {gap:e}");
+        }
+    }
+
+    #[test]
+    fn structural_flag_floating_rc_island() {
+        // The lowpass alone has no resistor to ground at all.
+        assert_flag(&MnaSystem::assemble(&rc_lowpass()).unwrap(), true);
+        let mut ckt = rc_lowpass();
+        ckt.add_resistor("Rload", 2, GROUND, 1e4); // n2 to ground
+        assert_flag(&MnaSystem::assemble(&ckt).unwrap(), false);
+        // A second, floating island makes it singular again.
+        let n3 = ckt.add_node();
+        let n4 = ckt.add_node();
+        ckt.add_resistor("R2", n3, n4, 50.0);
+        ckt.add_capacitor("C2", n4, GROUND, 1e-12);
+        let sys = MnaSystem::assemble(&ckt).unwrap();
+        assert_eq!(sys.class, CircuitClass::Rc);
+        assert_flag(&sys, true);
+    }
+
+    #[test]
+    fn structural_flag_ungrounded_ladder() {
+        let ckt = crate::generators::rc_ladder(12, 100.0, 1e-12);
+        assert_flag(&MnaSystem::assemble(&ckt).unwrap(), true);
+        // The general form sees the same resistor graph.
+        assert_flag(&MnaSystem::assemble_general(&ckt).unwrap(), true);
+    }
+
+    #[test]
+    fn structural_flag_grounded_mesh() {
+        let (rows, cols) = (4, 5);
+        let mut ckt = Circuit::new();
+        let ids: Vec<usize> = (0..rows * cols).map(|_| ckt.add_node()).collect();
+        for r in 0..rows {
+            for c in 0..cols {
+                let i = r * cols + c;
+                if c + 1 < cols {
+                    ckt.add_resistor(&format!("Rh{i}"), ids[i], ids[i + 1], 2.0);
+                }
+                if r + 1 < rows {
+                    ckt.add_resistor(&format!("Rv{i}"), ids[i], ids[i + cols], 3.0);
+                }
+                ckt.add_capacitor(&format!("C{i}"), ids[i], GROUND, 1e-12);
+            }
+        }
+        ckt.add_resistor("Rgnd", ids[rows * cols - 1], GROUND, 10.0);
+        ckt.add_port("p", ids[0], GROUND);
+        assert_flag(&MnaSystem::assemble(&ckt).unwrap(), false);
+    }
+
+    /// An RL or LC circuit: `L1` grounds n1, `L2` floats between n2 and
+    /// n3 unless `ground_l2`; optionally coupled to `L1`.
+    fn inductive(resistive: bool, ground_l2: bool, coupled: bool) -> Circuit {
+        let mut ckt = Circuit::new();
+        let n1 = ckt.add_node();
+        let n2 = ckt.add_node();
+        let n3 = ckt.add_node();
+        ckt.add_inductor("L1", n1, GROUND, 1e-6);
+        ckt.add_inductor("L2", n2, n3, 2e-6);
+        if ground_l2 {
+            ckt.add_inductor("L3", n3, GROUND, 3e-6);
+        }
+        if coupled {
+            ckt.add_mutual("K1", "L1", "L2", 0.4);
+        }
+        for (k, n) in [n1, n2, n3].into_iter().enumerate() {
+            if resistive {
+                ckt.add_resistor(&format!("R{k}"), n, GROUND, 10.0);
+            } else {
+                ckt.add_capacitor(&format!("C{k}"), n, GROUND, 1e-12);
+            }
+        }
+        ckt.add_port("p", n1, GROUND);
+        ckt
+    }
+
+    #[test]
+    fn structural_flag_rl_and_lc_forms() {
+        for resistive in [true, false] {
+            let class = if resistive {
+                CircuitClass::Rl
+            } else {
+                CircuitClass::Lc
+            };
+            for coupled in [false, true] {
+                for ground_l2 in [false, true] {
+                    let sys =
+                        MnaSystem::assemble(&inductive(resistive, ground_l2, coupled)).unwrap();
+                    assert_eq!(sys.class, class);
+                    // Coupling mixes inductor branches but adds no DC
+                    // path: the floating L2 keeps G singular either way.
+                    assert_flag(&sys, !ground_l2);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn structural_flag_rlc_inductor_loop() {
+        // Every node reaches ground through R or L, so only the loop
+        // L1-L2-L3 (through ground) can make G singular.
+        let build = |close_loop: bool| {
+            let mut ckt = Circuit::new();
+            let n1 = ckt.add_node();
+            let n2 = ckt.add_node();
+            ckt.add_resistor("R1", n1, GROUND, 50.0);
+            ckt.add_inductor("L1", n1, n2, 1e-9);
+            ckt.add_inductor("L2", n2, GROUND, 2e-9);
+            if close_loop {
+                ckt.add_inductor("L3", n1, GROUND, 3e-9);
+            }
+            ckt.add_capacitor("C1", n2, GROUND, 1e-12);
+            ckt.add_port("p", n1, GROUND);
+            ckt
+        };
+        for close_loop in [false, true] {
+            let sys = MnaSystem::assemble(&build(close_loop)).unwrap();
+            assert_eq!(sys.class, CircuitClass::Rlc);
+            assert_flag(&sys, close_loop);
+        }
+        // The same loop in the RL nodal form is harmless: `G = Aˡᵀ𝓛⁻¹Aˡ`
+        // has no current unknowns to circulate.
+        let mut ckt = Circuit::new();
+        let n1 = ckt.add_node();
+        let n2 = ckt.add_node();
+        ckt.add_resistor("R1", n1, GROUND, 50.0);
+        ckt.add_resistor("R2", n2, GROUND, 70.0);
+        ckt.add_inductor("L1", n1, n2, 1e-9);
+        ckt.add_inductor("L2", n2, GROUND, 2e-9);
+        ckt.add_inductor("L3", n1, GROUND, 3e-9);
+        ckt.add_port("p", n1, GROUND);
+        let sys = MnaSystem::assemble(&ckt).unwrap();
+        assert_eq!(sys.class, CircuitClass::Rl);
+        assert_flag(&sys, false);
     }
 }

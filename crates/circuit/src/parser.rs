@@ -264,7 +264,9 @@ pub fn to_spice_subckt(ckt: &Circuit, name: &str) -> String {
 /// Writes a circuit back out in the dialect [`parse_spice`] reads.
 ///
 /// Node indices are written as `n<k>` (ground as `0`), so the output
-/// round-trips through the parser up to node naming.
+/// round-trips through the parser up to node naming. A port whose name
+/// does not start with `P` is written with one prefixed, since that
+/// letter is what makes the parser read the card as a port.
 pub fn to_spice(ckt: &Circuit) -> String {
     let mut out = String::new();
     let node_name = |n: usize| {
@@ -327,8 +329,16 @@ pub fn to_spice(ckt: &Circuit) -> String {
         }
     }
     for p in ckt.ports() {
+        // The parser recognizes a port card by its leading `P`; a name
+        // without one (a generator's `in`, `drive`, `root`) gets it
+        // prefixed, and a parsed circuit's names pass through unchanged.
+        let prefix = if p.name.starts_with(['P', 'p']) {
+            ""
+        } else {
+            "P"
+        };
         out.push_str(&format!(
-            "{} {} {}\n",
+            "{prefix}{} {} {}\n",
             p.name,
             node_name(p.plus),
             node_name(p.minus)

@@ -1,7 +1,10 @@
 //! Property-based tests for netlists, the parser, and MNA assembly.
 
-use mpvl_circuit::generators::{random_lc, random_rc, random_rl};
-use mpvl_circuit::{parse_spice, to_spice, CircuitClass, MnaSystem};
+use mpvl_circuit::generators::{
+    embed_with_drivers, h_tree, interconnect, package, peec, random_lc, random_rc, random_rl,
+    rc_ladder, rc_line, HTreeParams, InterconnectParams, PackageParams, PeecParams,
+};
+use mpvl_circuit::{parse_spice, to_spice, Circuit, CircuitClass, MnaSystem};
 use mpvl_la::Complex64;
 use mpvl_testkit::prop::check;
 use mpvl_testkit::{prop_assert, prop_assert_eq};
@@ -37,6 +40,73 @@ fn spice_roundtrip_preserves_z() {
 #[test]
 fn regression_spice_roundtrip_seed_479() {
     spice_roundtrip_preserves_z_at(479).unwrap();
+}
+
+/// Relative Frobenius distance between two `Z` matrices.
+fn z_distance(a: &mpvl_la::Mat<Complex64>, b: &mpvl_la::Mat<Complex64>) -> f64 {
+    let (mut num, mut den) = (0.0, 0.0);
+    for i in 0..a.nrows() {
+        for j in 0..a.ncols() {
+            num += (a[(i, j)] - b[(i, j)]).abs().powi(2);
+            den += a[(i, j)].abs().powi(2);
+        }
+    }
+    (num / den).sqrt()
+}
+
+#[test]
+fn every_generator_roundtrips_through_spice() {
+    let small_interconnect = InterconnectParams {
+        wires: 3,
+        coupling_reach: 2,
+        ..InterconnectParams::default()
+    };
+    let small_package = PackageParams {
+        pins: 6,
+        signal_pins: vec![0, 1, 3],
+        sections: 4,
+        ..PackageParams::default()
+    };
+    let circuits: Vec<(&str, Circuit)> = vec![
+        ("rc_ladder", rc_ladder(40, 10.0, 1e-12)),
+        ("rc_line", rc_line(30, 25.0, 2e-13)),
+        ("interconnect", interconnect(&small_interconnect)),
+        (
+            "embed_with_drivers",
+            embed_with_drivers(&interconnect(&small_interconnect), 50.0),
+        ),
+        ("package", package(&small_package)),
+        ("peec", peec(&PeecParams::default()).circuit),
+        ("h_tree", h_tree(&HTreeParams::default())),
+        ("random_rc", random_rc(3, 12, 2)),
+        ("random_rl", random_rl(3, 12, 2)),
+        ("random_lc", random_lc(3, 12, 2)),
+    ];
+    let s = Complex64::new(0.0, 2.0 * std::f64::consts::PI * 1e8);
+    for (name, ckt) in circuits {
+        let text = to_spice(&ckt);
+        let (parsed, _) = parse_spice(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(parsed.element_counts(), ckt.element_counts(), "{name}");
+        assert_eq!(parsed.num_ports(), ckt.num_ports(), "{name}");
+        for (orig, back) in ckt.ports().iter().zip(parsed.ports()) {
+            let expect = if orig.name.starts_with(['P', 'p']) {
+                orig.name.clone()
+            } else {
+                format!("P{}", orig.name)
+            };
+            assert_eq!(back.name, expect, "{name}");
+        }
+        let z1 = MnaSystem::assemble(&ckt).unwrap().dense_z(s).unwrap();
+        let z2 = MnaSystem::assemble(&parsed).unwrap().dense_z(s).unwrap();
+        let d = z_distance(&z1, &z2);
+        assert!(d < 1e-12, "{name}: Z moved by {d:e}");
+        // A parsed circuit's ports already carry their `P`, so writing
+        // it out again is a fixed point: the canonical text (and every
+        // registry key hashed from it) does not drift on re-ingest.
+        let canonical = to_spice(&parsed);
+        let (again, _) = parse_spice(&canonical).unwrap();
+        assert_eq!(to_spice(&again), canonical, "{name}");
+    }
 }
 
 #[test]

@@ -135,6 +135,7 @@ fn single_column_system(sys: &MnaSystem, col: Vec<f64>) -> MnaSystem {
         class: sys.class,
         num_node_unknowns: sys.num_node_unknowns,
         num_inductor_unknowns: sys.num_inductor_unknowns,
+        g_structurally_singular: sys.g_structurally_singular,
     }
 }
 

@@ -29,7 +29,9 @@ pub enum GFactor {
 }
 
 impl GFactor {
-    /// Factors `g`, preferring the sparse path.
+    /// Factors `g`, preferring the sparse path. Every fall back to the
+    /// dense path counts once in the `factor/dense_fallbacks` obs
+    /// counter, whether or not the dense factor then succeeds.
     ///
     /// # Errors
     ///
@@ -48,6 +50,7 @@ impl GFactor {
                 })
             }
             Err(sparse_err) => {
+                mpvl_obs::counter_add("factor", "dense_fallbacks", 1);
                 let bk =
                     BunchKaufman::new(&g.to_dense()).map_err(|e| SympvlError::Factorization {
                         reason: format!("sparse: {sparse_err}; dense: {e}"),

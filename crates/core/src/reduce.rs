@@ -13,7 +13,10 @@ pub enum Shift {
     None,
     /// Expand about `σ = 0` when `G` factors; otherwise pick a small
     /// regularizing shift automatically (`s₀ = 10⁻³·‖G‖_F/‖C‖_F`, backing
-    /// off toward the full scale if that still hits a zero pivot).
+    /// off toward the full scale if that still hits a zero pivot). When
+    /// the topology already shows `G` singular
+    /// ([`MnaSystem::g_structurally_singular`]), the unshifted attempt
+    /// is skipped.
     Auto,
     /// Expand about the given `σ = s₀`.
     Value(f64),
@@ -48,10 +51,12 @@ pub struct SympvlOptions {
     /// Relative pivot threshold for accepting the unshifted
     /// factorization under [`Shift::Auto`]: the factor of `G` alone is
     /// used only when `min_pivot > auto_rtol * max_pivot`, otherwise
-    /// the automatic-shift ladder runs. Part of every cache key that
-    /// identifies a reduction (engine run pool, service registry): two
-    /// requests differing only in `auto_rtol` can legitimately resolve
-    /// to different expansion points.
+    /// the automatic-shift ladder runs. A system whose `G` is
+    /// structurally singular never gets this far, so even
+    /// `auto_rtol = 0` cannot accept a roundoff-level pivot there. Part
+    /// of every cache key that identifies a reduction (engine run pool,
+    /// service registry): two requests differing only in `auto_rtol`
+    /// can legitimately resolve to different expansion points.
     pub auto_rtol: f64,
 }
 
@@ -192,8 +197,9 @@ pub fn factor_target(sys: &MnaSystem, target: FactorTarget) -> Result<Arc<GFacto
 /// like [`GFactor::factor`] on the [`FactorTarget`] matrix (returning a
 /// cached copy of exactly that result is fine; computing something else
 /// is not). The policy logic — validation guards, the `Auto`
-/// conditioning test, and the automatic-shift back-off ladder — lives
-/// here, once, so cached and uncached paths cannot drift.
+/// structural skip and conditioning test, and the automatic-shift
+/// back-off ladder — lives here, once, so cached and uncached paths
+/// cannot drift.
 pub fn factor_with_shift_via<F>(
     sys: &MnaSystem,
     shift: Shift,
@@ -244,49 +250,49 @@ where
             }
             Ok((factor_fn(sys, FactorTarget::Shifted(s0))?, s0))
         }
-        Shift::Auto => match factor_fn(sys, FactorTarget::Unshifted) {
-            // Accept the unshifted factorization only when it is
-            // well-conditioned: an ungrounded Laplacian is rank-deficient
-            // but can squeak past the pivot floor with one tiny (even
-            // negative) pivot, silently poisoning the reduction.
-            Ok(f)
-                if {
-                    // `lo` is finite and nonzero only for a nonempty,
-                    // fully pivoted factor ([`GFactor::pivot_range`]
-                    // reports (0, 0) for dim-0); the guard cannot pass
-                    // vacuously.
-                    let (lo, hi) = f.pivot_range();
-                    // With auto_rtol == 0 this still demands lo > 0:
-                    // a zero pivot is never acceptable.
-                    lo.is_finite() && lo > opts.auto_rtol * hi
-                } =>
-            {
-                Ok((f, 0.0))
-            }
-            _ => {
-                let gn = frob(&sys.g);
-                let cn = frob(&sys.c);
-                if cn == 0.0 {
-                    return Err(SympvlError::Factorization {
-                        reason: "G singular and C is zero".to_string(),
-                    });
+        Shift::Auto => {
+            if sys.g_structurally_singular {
+                // The topology puts a null vector in `G` whatever the
+                // element values, so the unshifted factor could only
+                // fail or be rejected: go straight to the ladder.
+                mpvl_obs::counter_add("factor", "auto_structural_skips", 1);
+            } else if let Ok(f) = factor_fn(sys, FactorTarget::Unshifted) {
+                // Accept the unshifted factorization only when it is
+                // well-conditioned: an ungrounded Laplacian is
+                // rank-deficient but can squeak past the pivot floor
+                // with one tiny (even negative) pivot, silently
+                // poisoning the reduction. `lo` is finite and nonzero
+                // only for a nonempty, fully pivoted factor
+                // ([`GFactor::pivot_range`] reports (0, 0) for dim-0),
+                // so the test cannot pass vacuously; with
+                // auto_rtol == 0 it still demands lo > 0.
+                let (lo, hi) = f.pivot_range();
+                if lo.is_finite() && lo > opts.auto_rtol * hi {
+                    return Ok((f, 0.0));
                 }
-                // ‖G‖/‖C‖ is the σ-scale of the *fastest* pole; expanding
-                // there ruins in-band convergence. A shift three decades
-                // below it regularizes the factorization while keeping the
-                // expansion effectively at DC. (If even that hits a zero
-                // pivot, back off toward the full scale.)
-                for eps in [1e-3, 1e-1, 1.0] {
-                    let s0 = eps * gn / cn;
-                    if let Ok(f) = factor_fn(sys, FactorTarget::Shifted(s0)) {
-                        return Ok((f, s0));
-                    }
-                }
-                Err(SympvlError::Factorization {
-                    reason: "G + s0*C singular for every automatic shift".to_string(),
-                })
             }
-        },
+            let gn = frob(&sys.g);
+            let cn = frob(&sys.c);
+            if cn == 0.0 {
+                return Err(SympvlError::Factorization {
+                    reason: "G singular and C is zero".to_string(),
+                });
+            }
+            // ‖G‖/‖C‖ is the σ-scale of the *fastest* pole; expanding
+            // there ruins in-band convergence. A shift three decades
+            // below it regularizes the factorization while keeping the
+            // expansion effectively at DC. (If even that hits a zero
+            // pivot, back off toward the full scale.)
+            for eps in [1e-3, 1e-1, 1.0] {
+                let s0 = eps * gn / cn;
+                if let Ok(f) = factor_fn(sys, FactorTarget::Shifted(s0)) {
+                    return Ok((f, s0));
+                }
+            }
+            Err(SympvlError::Factorization {
+                reason: "G + s0*C singular for every automatic shift".to_string(),
+            })
+        }
     }
 }
 
@@ -504,6 +510,7 @@ mod tests {
             class: CircuitClass::Rc,
             num_node_unknowns: 0,
             num_inductor_unknowns: 0,
+            g_structurally_singular: false,
         };
         for shift in [Shift::Auto, Shift::None, Shift::Value(0.0)] {
             let opts = SympvlOptions {

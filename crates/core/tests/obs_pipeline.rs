@@ -40,6 +40,53 @@ fn rc_ladder_reduction_counters_are_pinned() {
 }
 
 #[test]
+fn ungrounded_ladder_auto_skips_the_unshifted_factor() {
+    // The ladder has no resistor to ground, so G is singular by
+    // topology: Auto factors the shifted matrix straight away, and
+    // neither attempt needs the dense fallback.
+    let sys = ladder_system();
+    assert!(sys.g_structurally_singular);
+    let opts = SympvlOptions::default();
+    let ((), cap) = mpvl_obs::capture(|| {
+        sympvl(&sys, 8, &opts).expect("reduce");
+    });
+    assert_eq!(cap.counter("factor", "auto_structural_skips"), 1);
+    assert_eq!(cap.counter("factor", "dense_fallbacks"), 0);
+    // The counter export, byte for byte; CI reruns this binary at
+    // MPVL_THREADS=2 and 4 against the same text.
+    let export = cap.to_json_lines();
+    let counters: Vec<&str> = export
+        .lines()
+        .filter(|l| l.starts_with("{\"kind\":\"counter\""))
+        .collect();
+    assert_eq!(
+        counters,
+        [
+            r#"{"kind":"counter","stage":"factor","name":"auto_structural_skips","value":1}"#,
+            r#"{"kind":"counter","stage":"lanczos","name":"accepted_vectors","value":8}"#,
+            r#"{"kind":"counter","stage":"lanczos","name":"clusters_closed","value":8}"#,
+            r#"{"kind":"counter","stage":"lanczos","name":"iterations","value":9}"#,
+            r#"{"kind":"counter","stage":"ldlt","name":"numeric_refactor","value":1}"#,
+            r#"{"kind":"counter","stage":"ldlt","name":"supernodes","value":64}"#,
+            r#"{"kind":"counter","stage":"ldlt","name":"symbolic_analyze","value":1}"#,
+        ]
+    );
+
+    // Without the flag (a hand-built system), Auto still probes G: the
+    // sparse factor breaks down and the dense fallback runs, only for
+    // its result to be rejected.
+    let probed = MnaSystem {
+        g_structurally_singular: false,
+        ..sys
+    };
+    let ((), cap) = mpvl_obs::capture(|| {
+        sympvl(&probed, 8, &opts).expect("reduce");
+    });
+    assert_eq!(cap.counter("factor", "auto_structural_skips"), 0);
+    assert_eq!(cap.counter("factor", "dense_fallbacks"), 1);
+}
+
+#[test]
 fn rc_ladder_sweep_counters_are_pinned() {
     let sys = ladder_system();
     let freqs = log_space(1e6, 1e10, 21);

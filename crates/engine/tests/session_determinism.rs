@@ -10,7 +10,24 @@ use mpvl_circuit::generators::{interconnect, rc_ladder, InterconnectParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession, SessionOptions, Want};
 use mpvl_la::{Complex64, Mat};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sympvl::{reduce_adaptive, sympvl, AdaptiveOptions, ReducedModel, Shift, SympvlOptions};
+
+/// `eval_plans_are_cached_per_model` captures the process-global obs
+/// sink, which records for every thread while the capture runs: a
+/// sibling test evaluating at the same moment would leak its counters
+/// into the capture. The capturing test holds this lock exclusively;
+/// every other test holds it shared, so they still run in parallel with
+/// each other.
+static OBS_SINK: RwLock<()> = RwLock::new(());
+
+fn shares_obs_sink() -> RwLockReadGuard<'static, ()> {
+    OBS_SINK.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn captures_obs_sink() -> RwLockWriteGuard<'static, ()> {
+    OBS_SINK.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct Fnv(u64);
 
@@ -65,6 +82,7 @@ fn interconnect_sys() -> MnaSystem {
 
 #[test]
 fn fixed_order_requests_match_cold_free_function() {
+    let _sink = shares_obs_sink();
     let sys = interconnect_sys();
     let session = ReductionSession::new(sys.clone());
     // Deliberately out of order: escalate, shrink, escalate again.
@@ -88,6 +106,7 @@ fn fixed_order_requests_match_cold_free_function() {
 
 #[test]
 fn adaptive_request_matches_cold_reduce_adaptive() {
+    let _sink = shares_obs_sink();
     let sys = interconnect_sys();
     let opts = AdaptiveOptions::for_band(1e7, 5e9)
         .unwrap()
@@ -123,6 +142,7 @@ fn adaptive_request_matches_cold_reduce_adaptive() {
 
 #[test]
 fn eviction_churn_never_changes_results() {
+    let _sink = shares_obs_sink();
     let sys = interconnect_sys();
     // Capacity 1 everywhere: every alternation between the two shifts
     // evicts the other's factor and run state.
@@ -169,6 +189,7 @@ fn eviction_churn_never_changes_results() {
 
 #[test]
 fn batch_results_are_order_stable_and_thread_invariant() {
+    let _sink = shares_obs_sink();
     let sys = interconnect_sys();
     let requests = vec![
         ReduceSpec::pade_fixed(6).unwrap(),
@@ -227,6 +248,7 @@ fn batch_results_are_order_stable_and_thread_invariant() {
 
 #[test]
 fn session_ac_sweep_matches_free_function_repeatedly() {
+    let _sink = shares_obs_sink();
     let sys = MnaSystem::assemble(&rc_ladder(24, 50.0, 1e-12)).unwrap();
     let freqs = mpvl_sim::log_space(1e5, 1e10, 13);
     let reference = mpvl_sim::ac_sweep(&sys, &freqs).unwrap();
@@ -247,6 +269,7 @@ fn session_ac_sweep_matches_free_function_repeatedly() {
 
 #[test]
 fn eval_matches_compiled_plan_and_lu_accuracy() {
+    let _sink = shares_obs_sink();
     // Session eval routes through the compiled pole–residue plan: results
     // must be bit-identical to evaluating that plan directly, and within
     // the documented accuracy band of the exact LU path.
@@ -287,6 +310,7 @@ fn eval_matches_compiled_plan_and_lu_accuracy() {
 
 #[test]
 fn eval_batch_is_thread_invariant_with_ragged_points() {
+    let _sink = shares_obs_sink();
     // Ragged point counts across several models force chunk boundaries to
     // land mid-request at some thread counts; results must not care.
     let sys = interconnect_sys();
@@ -325,6 +349,7 @@ fn eval_batch_is_thread_invariant_with_ragged_points() {
 
 #[test]
 fn eval_plans_are_cached_per_model() {
+    let _sink = captures_obs_sink();
     let sys = interconnect_sys();
     let session = ReductionSession::new(sys);
     let outcome = session.reduce(&ReduceSpec::pade_fixed(8).unwrap()).unwrap();
@@ -341,6 +366,7 @@ fn eval_plans_are_cached_per_model() {
 
 #[test]
 fn wants_are_computed_from_the_same_model() {
+    let _sink = shares_obs_sink();
     let sys = MnaSystem::assemble(&rc_ladder(30, 100.0, 1e-12)).unwrap();
     let session = ReductionSession::new(sys.clone());
     let outcome = session

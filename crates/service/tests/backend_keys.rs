@@ -204,3 +204,17 @@ fn mixed_backend_batch_resolves_each_member_under_its_own_key() {
         assert_eq!(sympvl::write_model(&c.model), sympvl::write_model(&w.model));
     }
 }
+
+#[test]
+fn registry_keys_of_parsed_netlists_are_pinned() {
+    // The registry key hashes the canonical text `to_spice` writes for
+    // the parsed circuit. Parsed ports always carry their `P`, so the
+    // port-card prefix `to_spice` adds for unprefixed names never
+    // applies here: these keys are the ones persisted registries hold.
+    let pade = ServiceRequest::from_spec(&ladder(30), pade_spec()).unwrap();
+    assert_eq!(
+        pade.registry_key(),
+        "98c00f64ca238d632fedb9e31b0f84fdda9dce42a286529b9ebe815691fd8d30"
+    );
+    assert!(pade.canonical_netlist().contains("\nPin n1 0\n"));
+}

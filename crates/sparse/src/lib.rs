@@ -7,9 +7,8 @@
 //! * [`TripletMat`] — coordinate-format accumulator matching MNA "stamping".
 //! * [`CscMat`] — compressed sparse columns with the symmetric helpers the
 //!   solvers need (`permute_sym`, `add_scaled`, `adjacency`).
-//! * [`Ordering`] / [`rcm`] / [`min_degree`] / [`quotient_min_degree`] —
-//!   fill-reducing orderings (the quotient-graph variant is the
-//!   production path; see `amd`).
+//! * [`Ordering`] / [`rcm`] / [`min_degree`] — fill-reducing orderings
+//!   (heap-driven minimum degree is the production path).
 //! * [`SparseLdlt`] — unpivoted up-looking LDLᵀ, generic over `f64` and
 //!   [`mpvl_la::Complex64`] (the latter serves AC analysis `G + jωC`).
 //! * [`SymbolicLdlt`] / [`NumericLdlt`] — the factorize-once-symbolically,
@@ -42,13 +41,11 @@
 // iterator rewrites obscure the math they mirror.
 #![allow(clippy::needless_range_loop)]
 
-mod amd;
 mod csc;
 mod ldlt;
 mod order;
 mod triplet;
 
-pub use amd::quotient_min_degree;
 pub use csc::{AddScaledPlan, CscMat};
 pub use ldlt::{LdltError, NumericLdlt, SparseLdlt, SparseMj, SymbolicLdlt};
 pub use order::{compute_ordering, is_permutation, min_degree, rcm, Ordering};

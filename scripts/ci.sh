@@ -61,7 +61,8 @@ MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
 
 test -s target/bench/BENCH_sparse_ldlt.json
 for name in ldlt_numeric_scalar/1360 ldlt_numeric_supernodal/1360 \
-    speedup/supernodal_vs_scalar/1360; do
+    speedup/supernodal_vs_scalar/1360 order_mindegree/path5000 \
+    order_mindegree/path20000 order_mindegree/grid50 order_mindegree/grid100; do
     grep -q "\"$name" target/bench/BENCH_sparse_ldlt.json || {
         echo "BENCH_sparse_ldlt.json missing result \"$name\"" >&2
         exit 1
@@ -74,6 +75,13 @@ echo "==> golden bit-identity across thread counts (MPVL_THREADS=2,4)"
 # count (column-chunked fan-out with the identical serial kernel).
 MPVL_THREADS=2 cargo test -q --offline -p sympvl --test golden_bitident
 MPVL_THREADS=4 cargo test -q --offline -p sympvl --test golden_bitident
+
+echo "==> obs counter export across thread counts (MPVL_THREADS=2,4)"
+# The pipeline suite pins the reduction's counter export byte for byte
+# (structural Auto skips, dense fallbacks, Lanczos and LDLT counts); the
+# same text must come out at any worker count.
+MPVL_THREADS=2 cargo test -q --offline -p sympvl --test obs_pipeline
+MPVL_THREADS=4 cargo test -q --offline -p sympvl --test obs_pipeline
 
 echo "==> smoke bench (bench_lanczos, reduced samples)"
 MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
@@ -214,7 +222,7 @@ for name in bt/worst_band_error pade/worst_band_error \
     }
 done
 
-echo "==> bench gate (factor kernel, sweep scaling, compiled eval, registry, multi-point, balanced truncation)"
+echo "==> bench gate (factor kernel, sweep scaling, compiled eval, registry, multi-point, balanced truncation, ordering scaling)"
 # Fails if the supernodal kernel is slower than the scalar kernel at
 # n=1360, if the threads=4 large-case sweep does not beat threads=1
 # (strict on multicore; a loud skip + oversubscription bound on 1 core),
@@ -223,7 +231,9 @@ echo "==> bench gate (factor kernel, sweep scaling, compiled eval, registry, mul
 # hit stops being faster than a cold submit, or if the 2-point merged
 # model stops beating the equal-order mid-band single-point expansion
 # on worst-over-band error, or if balanced truncation stops beating the
-# equal-order mid-band Pade expansion on the strongly-coupled PEEC band.
+# equal-order mid-band Pade expansion on the strongly-coupled PEEC band,
+# or if min-degree ordering of a path stops scaling near-linearly
+# (path20000 / path5000 time ratio must stay below 8).
 cargo run -q --release --offline -p mpvl-bench --bin bench_gate
 
 echo "==> ci.sh: all green"
