@@ -40,10 +40,17 @@
 //!    band-global Hankel criterion vs local moment matching.
 //! 7. **Minimum-degree ordering scaling** — from
 //!    `BENCH_sparse_ldlt.json`: ordering a 20 000-vertex path must take
-//!    less than 8× as long as a 5 000-vertex one. The heap-driven
-//!    ordering is `O(n log n)` on a path (measured ratio ≈ 3.2); a
-//!    selection scan per elimination step is `O(n²)` (ratio ≈ 16–18).
+//!    less than 8× as long as a 5 000-vertex one. Approximate minimum
+//!    degree is linear on a path (measured ratio ≈ 4.4); a selection
+//!    scan per elimination step is `O(n²)` (ratio ≈ 16–18).
 //!    A ratio of two runs on one machine, so it holds on any core count.
+//! 8. **Minimum-degree ordering scaling on a mesh** — from
+//!    `BENCH_sparse_ldlt.json`: ordering a 316 × 316 grid (10⁵
+//!    vertices) must take less than 100× as long as a 50 × 50 one (40×
+//!    the vertices). Approximate minimum degree on the quotient graph
+//!    measures 36–47×; an explicit elimination graph, whose cost
+//!    follows the fill, about 400×. A ratio again, so it holds on any
+//!    core count.
 //!
 //! Run with `cargo run --release -p mpvl-bench --bin bench_gate`;
 //! exits nonzero with a diagnostic on the first violated gate.
@@ -266,6 +273,28 @@ fn main() {
         println!(
             "bench_gate ok: min-degree ordering path20000 {large:.3e}s vs path5000 \
              {small:.3e}s (ratio {ratio:.2}, limit {ORDER_SCALING_LIMIT})"
+        );
+    }
+
+    // Gate 8: the ordering must stay near-linear on a 2-D mesh too.
+    // grid316 has 40x the vertices of grid50; AMD on the quotient
+    // graph measures 36-47x, an explicit elimination graph about
+    // 400x (its cost follows the fill).
+    let small = require(&sparse, "sparse_ldlt", "order_mindegree/grid50");
+    let large = require(&sparse, "sparse_ldlt", "order_mindegree/grid316");
+    const GRID_SCALING_LIMIT: f64 = 100.0;
+    let ratio = large / small;
+    if !ratio.is_finite() || ratio >= GRID_SCALING_LIMIT {
+        eprintln!(
+            "bench_gate FAIL: min-degree ordering of a 316x316 grid took {ratio:.1}x \
+             the 50x50 time ({large:.3e}s vs {small:.3e}s; allowed \
+             {GRID_SCALING_LIMIT}x) — ordering cost has started to follow the fill"
+        );
+        failures += 1;
+    } else {
+        println!(
+            "bench_gate ok: min-degree ordering grid316 {large:.3e}s vs grid50 \
+             {small:.3e}s (ratio {ratio:.1}, limit {GRID_SCALING_LIMIT})"
         );
     }
 

@@ -2,7 +2,7 @@
 //! cost vs size, the effect of the fill-reducing ordering, and the cost
 //! of the minimum-degree ordering alone on paths (the shape of a ladder)
 //! and 2-D grids (the shape of a mesh) — `bench_gate` Gate 7 reads the
-//! path scaling.
+//! path scaling, Gate 8 the grid scaling.
 //!
 //! Run with `cargo run --release -p mpvl-bench --bin bench_sparse_ldlt`;
 //! writes `target/bench/BENCH_sparse_ldlt.json`.
@@ -113,7 +113,8 @@ fn main() {
             std::hint::black_box(min_degree(std::hint::black_box(&adj)));
         });
     }
-    for k in [50, 100] {
+    // grid316 is 10⁵ unknowns; Gate 8 reads its time over grid50's.
+    for k in [50, 100, 200, 316] {
         let adj = grid_adjacency(k, k);
         bench.bench(&format!("order_mindegree/grid{k}"), || {
             std::hint::black_box(min_degree(std::hint::black_box(&adj)));

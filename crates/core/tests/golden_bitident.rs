@@ -6,6 +6,8 @@
 //! captured from the columnwise implementation immediately before the
 //! `LinearOperator` restructuring; any change to them means the FP
 //! evaluation order drifted, not just "the numbers moved a little".
+//! The one deliberate drift so far is a new default fill-reducing
+//! ordering, which permutes the factorization (see the case list).
 //!
 //! Run under `MPVL_THREADS=1` in CI; the hashes must also be unchanged
 //! at any ambient thread count because the blocked primitives fan out
@@ -53,13 +55,18 @@ fn reduce_fingerprint(sys: &MnaSystem, order: usize) -> u64 {
 }
 
 /// (name, expected fingerprint, actual): captured 2026-08-06 from the
-/// pre-`LinearOperator` scalar path at commit 4a04b20+1.
+/// pre-`LinearOperator` scalar path at commit 4a04b20+1, and re-pinned
+/// once since, when `Ordering::MinDegree` became approximate minimum
+/// degree: a new fill-reducing permutation reorders the factor's
+/// arithmetic, so every model's bits moved. The re-pin was checked
+/// against the exact `dense_z` sweep (EXPERIMENTS.md): model errors
+/// agree with the previous ordering's to rounding.
 #[test]
 fn reduced_models_are_bit_identical_to_pre_rework_path() {
     let cases: [(&str, u64, u64); 3] = [
         (
             "rc_ladder(64)/order8",
-            0xdced_a9d6_38c0_1260,
+            0xbac3_8b3c_b4e0_f761,
             reduce_fingerprint(
                 &MnaSystem::assemble(&rc_ladder(64, 10.0, 1e-12)).expect("assemble"),
                 8,
@@ -67,7 +74,7 @@ fn reduced_models_are_bit_identical_to_pre_rework_path() {
         ),
         (
             "interconnect(w3,s24,r2)/order12",
-            0x7c9d_00c4_e33c_ca14,
+            0x7e9f_dd99_225b_4178,
             reduce_fingerprint(
                 &MnaSystem::assemble(&interconnect(&InterconnectParams {
                     wires: 3,
@@ -81,7 +88,7 @@ fn reduced_models_are_bit_identical_to_pre_rework_path() {
         ),
         (
             "random_lc(7,40,2)/order10",
-            0xa20d_29f5_9220_dc2c,
+            0xc8a6_01dd_9a0b_8328,
             reduce_fingerprint(
                 &MnaSystem::assemble(&random_lc(7, 40, 2)).expect("assemble"),
                 10,

@@ -9,7 +9,7 @@
 //! open while it runs — unit tests of the same crate running on sibling
 //! threads would leak events into the capture.
 
-use mpvl_circuit::generators::rc_ladder;
+use mpvl_circuit::generators::{peec, rc_ladder, PeecParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_sim::{ac_sweep_with_threads, log_space};
 use sympvl::{sympvl, SympvlOptions};
@@ -131,4 +131,34 @@ fn exported_events_are_identical_across_thread_counts() {
     assert!(!lines1.is_empty());
     assert_eq!(lines1, lines4);
     mpvl_obs::validate_json_lines(&lines1).expect("valid JSON lines");
+}
+
+#[test]
+fn symbolic_analysis_spans_its_stages_and_counts_dense_rows() {
+    // The PEEC inductance matrix is dense, so every one of its 100 rows
+    // is above the ordering's dense threshold and set aside.
+    let sys = peec(&PeecParams::default()).system;
+    let opts = SympvlOptions::default();
+    let ((), cap) = mpvl_obs::capture(|| {
+        sympvl(&sys, 8, &opts).expect("reduce");
+    });
+    let analyses = cap.counter("ldlt", "symbolic_analyze");
+    assert!(analyses >= 1);
+    assert_eq!(cap.counter("ldlt", "dense_rows"), 100 * analyses);
+    let spans = |name: &str| -> u64 {
+        cap.timings
+            .iter()
+            .filter(|t| t.stage == "ldlt" && t.name == name)
+            .map(|t| t.count)
+            .sum()
+    };
+    assert_eq!(spans("order"), analyses);
+    assert_eq!(spans("symbolic"), analyses);
+
+    // The ladder's rows are all sparse: the counter stays out of the
+    // export (the pinned export above has no dense_rows line).
+    let ((), cap) = mpvl_obs::capture(|| {
+        sympvl(&ladder_system(), 8, &opts).expect("reduce");
+    });
+    assert!(!cap.to_json_lines().contains("dense_rows"));
 }

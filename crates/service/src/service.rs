@@ -18,7 +18,7 @@
 //! brick the service.
 
 use crate::error::ServiceError;
-use crate::hash::sha256_hex;
+use crate::hash::{sha256_hex, Sha256};
 use crate::registry::ModelRegistry;
 use mpvl_circuit::{parse_spice, to_spice, MnaSystem};
 use mpvl_engine::{
@@ -187,9 +187,15 @@ impl ServiceRequest {
             });
         }
         let canonical = to_spice(&ckt);
-        let shard_hex = sha256_hex(canonical.as_bytes());
-        let key_hex =
-            sha256_hex(format!("{canonical}\x00{}", canonical_reduction(&spec)).as_bytes());
+        // One pass over the canonical text: the shard key finishes a
+        // copy of the midstate, the registry key continues it with
+        // "\0" + the canonical reduction options.
+        let mut hasher = Sha256::new();
+        hasher.update(canonical.as_bytes());
+        let shard_hex = hasher.clone().finalize();
+        hasher.update(b"\0");
+        hasher.update(canonical_reduction(&spec).as_bytes());
+        let key_hex = hasher.finalize();
         Ok(ServiceRequest {
             canonical,
             shard_hex,

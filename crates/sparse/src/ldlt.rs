@@ -62,6 +62,13 @@ const SUPERNODE_MAX_WIDTH: usize = 64;
 /// gather/scatter would cost more than it saves.
 const PANEL_MIN_RANK: usize = 4;
 
+/// Outside the panel path, an update column with fewer own-supernode
+/// rows than this runs one indexed loop over all its rows, as the
+/// scalar kernel does: splitting off so short a contiguous run costs
+/// more than its unindexed addressing saves. Addressing only, like the
+/// two knobs above.
+const CONTIGUOUS_MIN_ROWS: usize = 4;
+
 /// Minimum estimated factorization work (inner-loop operations) before
 /// subtree parallelism amortizes thread spawn plus merge copies.
 const PAR_MIN_COST: u64 = 1_000_000;
@@ -189,14 +196,17 @@ fn solve_mat_permuted<T: Scalar>(
 
 /// One run of a target column's update plan: `width` consecutive update
 /// columns starting at `first`, all inside one supernode, with `rank`
-/// shared below-supernode rows preceding the target. The runs encode the
-/// scalar kernel's exact iteration order, so replaying them is bitwise
-/// equivalent.
+/// shared below-supernode rows preceding the target. Rows `i+1..=ce` of
+/// each update column `i` are the supernode's own columns before the
+/// target (`ce` is the supernode's last column, or the target minus one
+/// when the target lies inside it). The runs encode the scalar kernel's
+/// exact iteration order, so replaying them is bitwise equivalent.
 #[derive(Debug, Clone, Copy)]
 struct SnSegment {
     first: usize,
     width: usize,
     rank: usize,
+    ce: usize,
 }
 
 /// One independent etree subtree of a parallel numeric pass: its columns
@@ -272,8 +282,6 @@ pub struct SymbolicLdlt {
     /// Supernode partition: supernode `s` spans columns
     /// `sn_ptr[s]..sn_ptr[s+1]`.
     sn_ptr: Vec<usize>,
-    /// Column → supernode index.
-    sn_of: Vec<usize>,
     /// Per-target-column update plan: column `k`'s segments are
     /// `rp_seg[rp_ptr[k]..rp_ptr[k+1]]`, in the scalar kernel's order.
     rp_ptr: Vec<usize>,
@@ -289,7 +297,9 @@ pub struct SymbolicLdlt {
 
 impl SymbolicLdlt {
     /// Symbolic analysis of `a` under the requested fill-reducing
-    /// ordering. Only the pattern of `a` is read.
+    /// ordering. Only the pattern of `a` is read. The ordering runs
+    /// under an `ldlt/order` span and the analysis proper under
+    /// `ldlt/symbolic` (see [`analyze_with_perm`](Self::analyze_with_perm)).
     ///
     /// # Errors
     ///
@@ -301,7 +311,10 @@ impl SymbolicLdlt {
                 ncols: a.ncols(),
             });
         }
-        let perm = compute_ordering(&a.adjacency(), ordering);
+        let perm = {
+            let _span = mpvl_obs::span("ldlt", "order");
+            compute_ordering(&a.adjacency(), ordering)
+        };
         Self::analyze_with_perm(a, perm)
     }
 
@@ -324,6 +337,7 @@ impl SymbolicLdlt {
                 ncols: a.ncols(),
             });
         }
+        let _span = mpvl_obs::span("ldlt", "symbolic");
         let n = a.nrows();
         assert_eq!(perm.len(), n, "bad permutation length");
         // inv[old] = new
@@ -478,6 +492,7 @@ impl SymbolicLdlt {
                         first: i,
                         width: 1,
                         rank: 0,
+                        ce: 0,
                     });
                 }
                 prev = i;
@@ -485,6 +500,8 @@ impl SymbolicLdlt {
             }
             for seg in &mut rp_seg[seg_start..] {
                 let s = sn_of[seg.first];
+                let c1 = sn_ptr[s + 1] - 1;
+                seg.ce = c1.min(k - 1);
                 if s != sn_of[k] {
                     // Rows already placed in the supernode's last column
                     // are exactly the shared below-supernode rows that
@@ -492,7 +509,6 @@ impl SymbolicLdlt {
                     // round, hence the -1). Intra-supernode segments keep
                     // rank 0: no shared row precedes a column of its own
                     // supernode.
-                    let c1 = sn_ptr[s + 1] - 1;
                     seg.rank = lnz_done[c1] - 1;
                     debug_assert_eq!(l_rowidx[l_colptr[c1] + seg.rank], k);
                 }
@@ -520,7 +536,6 @@ impl SymbolicLdlt {
             l_colptr,
             l_rowidx,
             sn_ptr,
-            sn_of,
             rp_ptr,
             rp_seg,
             col_cost,
@@ -683,19 +698,19 @@ fn factor_column<T: Scalar>(
     d[k] = y[k];
     y[k] = T::zero();
     for seg in &sym.rp_seg[sym.rp_ptr[k]..sym.rp_ptr[k + 1]] {
-        let s = sym.sn_of[seg.first];
-        let c1 = sym.sn_ptr[s + 1] - 1;
         // Rows `i+1..=ce` of every update column in this segment are the
         // supernode's own columns: contiguous in `y` and in storage.
         // Beyond them sit `rank` shared below-supernode rows, identical
         // (set and order) across the segment.
-        let ce = c1.min(k - 1);
+        let ce = seg.ce;
         let rank = seg.rank;
         if seg.width >= 2 && rank >= PANEL_MIN_RANK {
-            let rbase = sym.l_colptr[c1];
+            // A segment with shared rows lies in a supernode before the
+            // target, so `ce` is that supernode's last column.
+            let rbase = sym.l_colptr[ce];
             let rrows = &sym.l_rowidx[rbase..rbase + rank];
-            for (q, &r) in rrows.iter().enumerate() {
-                panel[q] = y[r];
+            for (pv, &r) in panel.iter_mut().zip(rrows) {
+                *pv = y[r];
             }
             for i in seg.first..seg.first + seg.width {
                 let yi = y[i];
@@ -706,11 +721,15 @@ fn factor_column<T: Scalar>(
                     .iter()
                     .enumerate()
                     .all(|(t, &r)| r == i + 1 + t));
-                for (t, lv) in l_values[lo..lo + clen].iter().enumerate() {
-                    y[i + 1 + t] -= *lv * yi;
+                for (yv, lv) in y[i + 1..i + 1 + clen]
+                    .iter_mut()
+                    .zip(&l_values[lo..lo + clen])
+                {
+                    *yv -= *lv * yi;
                 }
-                for (q, lv) in l_values[lo + clen..lo + clen + rank].iter().enumerate() {
-                    panel[q] -= *lv * yi;
+                let rpart = lo + clen;
+                for (pv, lv) in panel[..rank].iter_mut().zip(&l_values[rpart..rpart + rank]) {
+                    *pv -= *lv * yi;
                 }
                 let pos = lo + clen + rank;
                 debug_assert_eq!(sym.l_rowidx[pos], k);
@@ -719,8 +738,8 @@ fn factor_column<T: Scalar>(
                 d[k] -= l_ki * yi;
                 l_values[pos] = l_ki;
             }
-            for (q, &r) in rrows.iter().enumerate() {
-                y[r] = panel[q];
+            for (&pv, &r) in panel.iter().zip(rrows) {
+                y[r] = pv;
             }
         } else {
             for i in seg.first..seg.first + seg.width {
@@ -732,14 +751,21 @@ fn factor_column<T: Scalar>(
                     .iter()
                     .enumerate()
                     .all(|(t, &r)| r == i + 1 + t));
-                for (t, lv) in l_values[lo..lo + clen].iter().enumerate() {
-                    y[i + 1 + t] -= *lv * yi;
+                let pos = lo + clen + rank;
+                let mut indexed = lo;
+                if clen >= CONTIGUOUS_MIN_ROWS {
+                    for (yv, lv) in y[i + 1..i + 1 + clen]
+                        .iter_mut()
+                        .zip(&l_values[lo..lo + clen])
+                    {
+                        *yv -= *lv * yi;
+                    }
+                    indexed += clen;
                 }
-                let rpart = lo + clen;
-                for q in 0..rank {
-                    y[sym.l_rowidx[rpart + q]] -= l_values[rpart + q] * yi;
+                let rows = &sym.l_rowidx[indexed..pos];
+                for (&r, lv) in rows.iter().zip(&l_values[indexed..pos]) {
+                    y[r] -= *lv * yi;
                 }
-                let pos = rpart + rank;
                 debug_assert_eq!(sym.l_rowidx[pos], k);
                 let di = d[i];
                 let l_ki = yi / di;
@@ -1280,14 +1306,7 @@ impl<T: Scalar> SparseLdlt<T> {
     ///   tolerance (`1e-13 · max|A|`); for RLC work this signals that a
     ///   frequency shift is required (paper eq. 26).
     pub fn factor(a: &CscMat<T>, ordering: Ordering) -> Result<Self, LdltError> {
-        if a.nrows() != a.ncols() {
-            return Err(LdltError::NotSquare {
-                nrows: a.nrows(),
-                ncols: a.ncols(),
-            });
-        }
-        let perm = compute_ordering(&a.adjacency(), ordering);
-        Self::factor_with_perm(a, perm)
+        Self::from_symbolic(SymbolicLdlt::analyze(a, ordering)?, a)
     }
 
     /// Factors with an explicit permutation (`perm[new] = old`).
@@ -1303,7 +1322,12 @@ impl<T: Scalar> SparseLdlt<T> {
     ///
     /// See [`SparseLdlt::factor`].
     pub fn factor_with_perm(a: &CscMat<T>, perm: Vec<usize>) -> Result<Self, LdltError> {
-        let sym = Arc::new(SymbolicLdlt::analyze_with_perm(a, perm)?);
+        Self::from_symbolic(SymbolicLdlt::analyze_with_perm(a, perm)?, a)
+    }
+
+    /// The numeric pass over a fresh symbolic analysis of `a`.
+    fn from_symbolic(sym: SymbolicLdlt, a: &CscMat<T>) -> Result<Self, LdltError> {
+        let sym = Arc::new(sym);
         let mut num = NumericLdlt::new(Arc::clone(&sym));
         num.refactor_with_threads(a, mpvl_par::thread_count())?;
         let NumericLdlt { l_values, d, .. } = num;

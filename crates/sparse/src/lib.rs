@@ -8,7 +8,8 @@
 //! * [`CscMat`] — compressed sparse columns with the symmetric helpers the
 //!   solvers need (`permute_sym`, `add_scaled`, `adjacency`).
 //! * [`Ordering`] / [`rcm`] / [`min_degree`] — fill-reducing orderings
-//!   (heap-driven minimum degree is the production path).
+//!   (approximate minimum degree on the quotient graph is the
+//!   production path).
 //! * [`SparseLdlt`] — unpivoted up-looking LDLᵀ, generic over `f64` and
 //!   [`mpvl_la::Complex64`] (the latter serves AC analysis `G + jωC`).
 //! * [`SymbolicLdlt`] / [`NumericLdlt`] — the factorize-once-symbolically,

@@ -62,7 +62,8 @@ MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
 test -s target/bench/BENCH_sparse_ldlt.json
 for name in ldlt_numeric_scalar/1360 ldlt_numeric_supernodal/1360 \
     speedup/supernodal_vs_scalar/1360 order_mindegree/path5000 \
-    order_mindegree/path20000 order_mindegree/grid50 order_mindegree/grid100; do
+    order_mindegree/path20000 order_mindegree/grid50 order_mindegree/grid100 \
+    order_mindegree/grid200 order_mindegree/grid316; do
     grep -q "\"$name" target/bench/BENCH_sparse_ldlt.json || {
         echo "BENCH_sparse_ldlt.json missing result \"$name\"" >&2
         exit 1
@@ -222,7 +223,7 @@ for name in bt/worst_band_error pade/worst_band_error \
     }
 done
 
-echo "==> bench gate (factor kernel, sweep scaling, compiled eval, registry, multi-point, balanced truncation, ordering scaling)"
+echo "==> bench gate (factor kernel, sweep scaling, compiled eval, registry, multi-point, balanced truncation, path and mesh ordering scaling)"
 # Fails if the supernodal kernel is slower than the scalar kernel at
 # n=1360, if the threads=4 large-case sweep does not beat threads=1
 # (strict on multicore; a loud skip + oversubscription bound on 1 core),
@@ -233,7 +234,8 @@ echo "==> bench gate (factor kernel, sweep scaling, compiled eval, registry, mul
 # on worst-over-band error, or if balanced truncation stops beating the
 # equal-order mid-band Pade expansion on the strongly-coupled PEEC band,
 # or if min-degree ordering of a path stops scaling near-linearly
-# (path20000 / path5000 time ratio must stay below 8).
+# (path20000 / path5000 time ratio must stay below 8), or of a mesh
+# (grid316 / grid50 time ratio must stay below 100).
 cargo run -q --release --offline -p mpvl-bench --bin bench_gate
 
 echo "==> ci.sh: all green"
