@@ -10,7 +10,7 @@ use mpvl_circuit::generators::{interconnect, InterconnectParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_la::Complex64;
 use mpvl_sim::{ac_sweep, log_space};
-use sympvl::{sympvl, ExpansionPoint, RationalModel, SympvlOptions};
+use sympvl::{reduce_multipoint, sympvl, MultiPointOptions, SympvlOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== Extension ablation: multi-point expansion vs single-point Padé ===");
@@ -27,14 +27,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let freqs = log_space(1e6, 1e11, 26);
     let exact = ac_sweep(&sys, &freqs)?;
 
+    // Three expansion points, given as σ-domain shifts σ = (2πf)^s_power.
+    let points_hz: Vec<f64> = [1e7f64, 1e9, 5e10]
+        .iter()
+        .map(|sigma| sigma.powf(1.0 / f64::from(sys.s_power)) / (2.0 * std::f64::consts::PI))
+        .collect();
+    let p = sys.num_ports();
     let mut rows = Vec::new();
     for sweeps in [1usize, 2, 3] {
-        let pts = [
-            ExpansionPoint { s0: 1e7, sweeps },
-            ExpansionPoint { s0: 1e9, sweeps },
-            ExpansionPoint { s0: 5e10, sweeps },
-        ];
-        let multi = RationalModel::new(&sys, &pts)?;
+        // `sweeps` block moments of `p` states at each of the three points.
+        let opts = MultiPointOptions::for_band(1e6, 1e11)?
+            .with_points(points_hz.clone())?
+            .with_total_order(3 * p * sweeps)?;
+        let multi = reduce_multipoint(&sys, &opts)?.model;
         let single = sympvl(&sys, multi.order(), &SympvlOptions::default())?;
         let mut errs_m = Vec::new();
         let mut errs_s = Vec::new();

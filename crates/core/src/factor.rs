@@ -229,20 +229,6 @@ impl GFactor {
         out
     }
 
-    /// Renamed: explicit worker counts take the `_with_threads` suffix
-    /// (matching `ac_sweep_with_threads`).
-    #[deprecated(note = "renamed to `apply_minv_mat_with_threads`")]
-    pub fn apply_minv_mat_threads(&self, x: &Mat<f64>, threads: usize) -> Mat<f64> {
-        self.apply_minv_mat_with_threads(x, threads)
-    }
-
-    /// Renamed: explicit worker counts take the `_with_threads` suffix
-    /// (matching `ac_sweep_with_threads`).
-    #[deprecated(note = "renamed to `apply_minv_t_mat_with_threads`")]
-    pub fn apply_minv_t_mat_threads(&self, x: &Mat<f64>, threads: usize) -> Mat<f64> {
-        self.apply_minv_t_mat_with_threads(x, threads)
-    }
-
     /// Blocked `M⁻¹ X` into a caller-owned matrix: the allocation-free
     /// primitive the [`crate::LinearOperator`] block apply builds on.
     ///

@@ -554,9 +554,26 @@ pub(crate) fn assemble_merged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{certify, reduce_adaptive, sympvl, AdaptiveOptions, Certificate};
-    use mpvl_circuit::generators::{interconnect, rc_ladder, InterconnectParams};
+    use crate::{certify, reduce_adaptive, sympvl, write_model, AdaptiveOptions, Certificate};
+    use mpvl_circuit::generators::{interconnect, random_rc, rc_ladder, InterconnectParams};
     use mpvl_la::Complex64;
+
+    /// The band frequency whose expansion shift is `sigma`: the inverse
+    /// of [`expansion_shift`].
+    fn point_hz(sys: &MnaSystem, sigma: f64) -> f64 {
+        sigma.powf(1.0 / f64::from(sys.s_power)) / (2.0 * std::f64::consts::PI)
+    }
+
+    /// Explicit-point options: `sigmas` as expansion shifts, `total`
+    /// as the order budget.
+    fn at_shifts(sys: &MnaSystem, sigmas: &[f64], total: usize) -> MultiPointOptions {
+        MultiPointOptions::for_band(1e6, 1e11)
+            .unwrap()
+            .with_points(sigmas.iter().map(|&s| point_hz(sys, s)).collect())
+            .unwrap()
+            .with_total_order(total)
+            .unwrap()
+    }
 
     fn worst_band_error(sys: &MnaSystem, model: &ReducedModel, freqs: &[f64]) -> f64 {
         let mut worst = 0.0f64;
@@ -800,5 +817,80 @@ mod tests {
             em < (ea * 100.0).max(1e-6),
             "narrow band: multi {em:.3e} vs adaptive single {ea:.3e}"
         );
+    }
+
+    #[test]
+    fn interpolates_at_each_expansion_point() {
+        let sys = MnaSystem::assemble(&random_rc(91, 30, 2)).unwrap();
+        let out = reduce_multipoint(&sys, &at_shifts(&sys, &[1e8, 1e10], 12)).unwrap();
+        // Exact interpolation AT each (real) expansion point: σ = σᵢ.
+        for &sigma in &out.shifts {
+            let s = Complex64::from_real(sigma);
+            let z = out.model.eval(s).unwrap();
+            let zx = sys.dense_z(s).unwrap();
+            let err = (&z - &zx).max_abs() / zx.max_abs();
+            assert!(err < 1e-10, "at sigma={sigma:e}: err {err:e}");
+        }
+    }
+
+    #[test]
+    fn wideband_beats_single_point_at_equal_order() {
+        // A wide band (5 decades): two-point model vs one-point Padé with
+        // the same state count.
+        let ckt = interconnect(&InterconnectParams {
+            wires: 3,
+            segments: 30,
+            coupling_reach: 2,
+            ..InterconnectParams::default()
+        });
+        let sys = MnaSystem::assemble(&ckt).unwrap();
+        let p = sys.num_ports();
+        let multi = reduce_multipoint(&sys, &at_shifts(&sys, &[1e8, 3e10], 4 * p))
+            .unwrap()
+            .model;
+        let single = sympvl(&sys, multi.order(), &SympvlOptions::default()).unwrap();
+        let freqs: Vec<f64> = (0..15).map(|k| 10f64.powf(6.5 + 0.3 * k as f64)).collect();
+        let em = worst_band_error(&sys, &multi, &freqs);
+        let es = worst_band_error(&sys, &single, &freqs);
+        assert!(
+            em < es,
+            "multi-point ({em:.3e}) should beat single-point ({es:.3e}) across 5 decades"
+        );
+    }
+
+    #[test]
+    fn rc_multipoint_model_is_stable() {
+        let sys = MnaSystem::assemble(&random_rc(92, 25, 2)).unwrap();
+        let model = reduce_multipoint(&sys, &at_shifts(&sys, &[1e7, 1e9], 8))
+            .unwrap()
+            .model;
+        assert!(model.guarantees_passivity());
+        for pole in model.sigma_poles().unwrap() {
+            assert!(pole.re <= 0.0, "pole {pole}");
+        }
+    }
+
+    #[test]
+    fn rejects_empty_points() {
+        let opts = MultiPointOptions::for_band(1e7, 1e9).unwrap();
+        assert!(matches!(
+            opts.clone().with_points(vec![]),
+            Err(SympvlError::InvalidOptions { .. })
+        ));
+        assert!(matches!(
+            opts.with_total_order(0),
+            Err(SympvlError::InvalidOptions { .. })
+        ));
+    }
+
+    #[test]
+    fn duplicate_points_deduplicate_via_orthonormalization() {
+        let sys = MnaSystem::assemble(&random_rc(94, 15, 1)).unwrap();
+        let once = reduce_multipoint(&sys, &at_shifts(&sys, &[1e8], 3)).unwrap();
+        let twice = reduce_multipoint(&sys, &at_shifts(&sys, &[1e8, 1e8], 3)).unwrap();
+        // The duplicated point adds no new directions: it is dropped
+        // before any per-point work, so the merged model is the same bits.
+        assert_eq!(twice.point_freqs_hz, once.point_freqs_hz);
+        assert_eq!(write_model(&twice.model), write_model(&once.model));
     }
 }

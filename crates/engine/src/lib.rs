@@ -65,6 +65,4 @@ pub use request::{
     EvalOutcome, EvalPoint, EvalRequest, ModelId, MultiPointInfo, OrderSpec, PadeSpec, ReduceSpec,
     ReductionOutcome, Want,
 };
-#[allow(deprecated)]
-pub use request::{MultiPointRequest, ReductionRequest};
 pub use session::{ReductionSession, SessionOptions};

@@ -25,8 +25,6 @@
 //! cached work, never a structural invariant.
 
 use crate::cache::{CacheStats, FactorCache, FactorKey};
-#[allow(deprecated)]
-use crate::request::MultiPointRequest;
 use crate::request::{
     AdaptiveInfo, Backend, BackendKind, BalancedInfo, CrossValidateOptions, CrossValidation,
     EvalOutcome, EvalPoint, EvalRequest, ModelId, MultiPointInfo, OrderSpec, PadeSpec, ReduceSpec,
@@ -409,36 +407,16 @@ impl ReductionSession {
         &self.sys
     }
 
-    /// Serves one reduction request — any [`ReduceSpec`] backend, or a
-    /// deprecated request type through its `Into<ReduceSpec>` shim.
+    /// Serves one reduction request, for any [`ReduceSpec`] backend.
     ///
     /// # Errors
     ///
     /// Whatever the underlying reduction, cross-validation, pole,
     /// certificate, or synthesis computation reports.
-    pub fn reduce<S: Into<ReduceSpec>>(&self, request: S) -> Result<ReductionOutcome, SympvlError> {
+    pub fn reduce(&self, spec: &ReduceSpec) -> Result<ReductionOutcome, SympvlError> {
         let _span = mpvl_obs::span("engine", "reduce");
-        let spec = request.into();
-        let pending = self.execute_spec(&spec)?;
+        let pending = self.execute_spec(spec)?;
         Ok(self.register(pending))
-    }
-
-    /// Serves one multi-point (rational-Krylov) reduction request.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`sympvl::reduce_multipoint`] or the requested
-    /// by-products report.
-    #[deprecated(
-        note = "superseded by `ReductionSession::reduce` with `ReduceSpec::multipoint` \
-                (see MIGRATION.md)"
-    )]
-    #[allow(deprecated)]
-    pub fn reduce_multipoint(
-        &self,
-        request: &MultiPointRequest,
-    ) -> Result<ReductionOutcome, SympvlError> {
-        self.reduce(request)
     }
 
     /// Serves a batch of reduction requests, fanning independent groups
@@ -451,27 +429,12 @@ impl ReductionSession {
     /// multi-point and balanced-truncation requests each form their own
     /// group (their factorizations still share the session factor
     /// cache).
-    pub fn reduce_batch<S>(&self, requests: &[S]) -> Vec<Result<ReductionOutcome, SympvlError>>
-    where
-        for<'a> &'a S: Into<ReduceSpec>,
-    {
-        self.reduce_batch_with_threads(requests, mpvl_par::thread_count())
+    pub fn reduce_batch(&self, specs: &[ReduceSpec]) -> Vec<Result<ReductionOutcome, SympvlError>> {
+        self.reduce_batch_with_threads(specs, mpvl_par::thread_count())
     }
 
     /// [`ReductionSession::reduce_batch`] with an explicit thread count.
-    pub fn reduce_batch_with_threads<S>(
-        &self,
-        requests: &[S],
-        threads: usize,
-    ) -> Vec<Result<ReductionOutcome, SympvlError>>
-    where
-        for<'a> &'a S: Into<ReduceSpec>,
-    {
-        let specs: Vec<ReduceSpec> = requests.iter().map(Into::into).collect();
-        self.reduce_specs(&specs, threads)
-    }
-
-    fn reduce_specs(
+    pub fn reduce_batch_with_threads(
         &self,
         specs: &[ReduceSpec],
         threads: usize,

@@ -25,8 +25,6 @@ use mpvl_engine::{
     AdaptiveInfo, Backend, BalancedInfo, CrossValidation, EvalPoint, EvalRequest, ModelId,
     MultiPointInfo, OrderSpec, ReduceSpec, ReductionSession, SessionOptions, Want,
 };
-#[allow(deprecated)]
-use mpvl_engine::{MultiPointRequest, ReductionRequest};
 use mpvl_la::Complex64;
 use mpvl_par::{BoundedQueue, PushError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -204,37 +202,6 @@ impl ServiceRequest {
             eval_freqs_hz: None,
             chaos_panic: false,
         })
-    }
-
-    /// [`ServiceRequest::from_spec`] for a single-point Padé request.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServiceRequest::from_spec`].
-    #[deprecated(
-        note = "superseded by `ServiceRequest::from_spec` with a `ReduceSpec` \
-                (see MIGRATION.md)"
-    )]
-    #[allow(deprecated)]
-    pub fn new(netlist: &str, reduction: ReductionRequest) -> Result<Self, ServiceError> {
-        Self::from_spec(netlist, (&reduction).into())
-    }
-
-    /// [`ServiceRequest::from_spec`] for a multi-point request.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServiceRequest::from_spec`].
-    #[deprecated(
-        note = "superseded by `ServiceRequest::from_spec` with a `ReduceSpec` \
-                (see MIGRATION.md)"
-    )]
-    #[allow(deprecated)]
-    pub fn new_multipoint(
-        netlist: &str,
-        reduction: MultiPointRequest,
-    ) -> Result<Self, ServiceError> {
-        Self::from_spec(netlist, (&reduction).into())
     }
 
     /// The by-products this request asks for.
@@ -769,7 +736,7 @@ impl ReductionService {
                 // registry-hit path), so the engine spec carries no
                 // Want of its own — only the backend and any
                 // cross-validation.
-                let outcome = session.reduce(request.engine_spec())?;
+                let outcome = session.reduce(&request.engine_spec())?;
                 let model = Arc::new(outcome.model);
                 self.registry.put(&request.key_hex, model.clone())?;
                 Resolved {

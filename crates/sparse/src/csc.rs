@@ -236,21 +236,6 @@ impl<T: Scalar> CscMat<T> {
         y
     }
 
-    /// Renamed: the caller-owned-output convention is `*_into`
-    /// ([`CscMat::matvec_into`], [`CscMat::matvec_mat_into`]).
-    #[deprecated(
-        note = "renamed to `matvec_mat_into` (caller-owned output takes the `_into` suffix)"
-    )]
-    pub fn matvec_mat(&self, x: &Mat<T>, y: &mut Mat<T>) {
-        self.matvec_mat_into(x, y);
-    }
-
-    /// Renamed: allocating products are named after `Mat::matmul`.
-    #[deprecated(note = "renamed to `matmul` (allocating products match `Mat::matmul`)")]
-    pub fn mat_mul(&self, x: &Mat<T>) -> Mat<T> {
-        self.matmul(x)
-    }
-
     /// Transposed product `Aᵀ x` (no conjugation).
     pub fn t_matvec(&self, x: &[T]) -> Vec<T> {
         assert_eq!(x.len(), self.nrows, "dimension mismatch");

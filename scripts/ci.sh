@@ -11,9 +11,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Deprecated names are shims for one release cycle: external code gets a
-# warning, in-tree code must not use them. The deprecated_compat.rs
-# suites (crates/core/tests/ and crates/engine/tests/) opt back in with
-# #![allow(deprecated)], which overrides the command-line deny.
+# warning, in-tree code must not use them. No in-tree file opts back in
+# with #[allow(deprecated)].
 export RUSTFLAGS="-D deprecated"
 
 echo "==> cargo fmt --check"
@@ -48,6 +47,13 @@ echo "==> cargo build --release --offline --all-targets"
 # --all-targets pulls in the examples and integration tests, so a
 # deprecated name anywhere in tree fails here under -D deprecated.
 cargo build --release --offline --all-targets
+
+echo "==> cargo build --release --offline --locked (reqbench workspace)"
+# reqbench is its own workspace with path dependencies on crates/*, so
+# the workspace build above does not cover it. Build-only: a renamed or
+# deleted public name breaks the benchmark here. --locked rewrites no
+# file under reqbench/.
+cargo build --release --offline --locked --manifest-path reqbench/Cargo.toml
 
 echo "==> cargo test -q --offline (MPVL_THREADS=1: single-thread fallback)"
 # The env pin keeps the mpvl-par inline fallback on every env-driven
