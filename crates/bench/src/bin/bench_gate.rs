@@ -51,6 +51,12 @@
 //!    measures 36–47×; an explicit elimination graph, whose cost
 //!    follows the fill, about 400×. A ratio again, so it holds on any
 //!    core count.
+//! 9. **Blocked vs single-point compiled evaluation** — from
+//!    `BENCH_eval.json`: on the 17-port interconnect at order 136 over
+//!    1000 points, the point-blocked `eval_many_into` must be strictly
+//!    faster than a loop of `eval_into` on the same plan (measured
+//!    2.1–2.7× on a 2-core VM). Both run on one thread, so the ratio
+//!    holds on any core count.
 //!
 //! Run with `cargo run --release -p mpvl-bench --bin bench_gate`;
 //! exits nonzero with a diagnostic on the first violated gate.
@@ -295,6 +301,24 @@ fn main() {
         println!(
             "bench_gate ok: min-degree ordering grid316 {large:.3e}s vs grid50 \
              {small:.3e}s (ratio {ratio:.1}, limit {GRID_SCALING_LIMIT})"
+        );
+    }
+
+    // Gate 9: the point-blocked compiled kernel must beat the
+    // single-point loop it is bit-identical to.
+    let blocked = require(&eval, "eval", "eval_compiled/136x1000");
+    let pointwise = require(&eval, "eval", "eval_pointwise/136x1000");
+    if blocked >= pointwise {
+        eprintln!(
+            "bench_gate FAIL: blocked compiled eval at 136x1000 is not faster than \
+             the single-point loop: {blocked:.3e}s vs {pointwise:.3e}s"
+        );
+        failures += 1;
+    } else {
+        println!(
+            "bench_gate ok: blocked compiled eval {blocked:.3e}s vs single-point \
+             {pointwise:.3e}s at 136x1000 (speedup {:.2}x)",
+            pointwise / blocked
         );
     }
 

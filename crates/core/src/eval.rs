@@ -15,7 +15,10 @@
 //! ```
 //!
 //! after which each point costs `q` complex reciprocals plus `q·p²`
-//! multiply–adds and **zero allocations** ([`EvalPlan::eval_many_into`]).
+//! multiply–adds (real-by-complex on the symmetric path, whose residues
+//! are real) and **zero allocations**. [`EvalPlan::eval_many_into`] runs a
+//! sweep point-blocked and register-tiled, bit-identical to evaluating
+//! its points one at a time.
 //!
 //! Correctness is defended in depth rather than assumed:
 //!
@@ -63,10 +66,24 @@ impl EvalConsts {
     }
 }
 
+/// Points per register tile of the blocked kernel: their accumulators
+/// stay in registers for the whole pole loop.
+const TILE_P: usize = 2;
+
+/// Output entries per register tile. Each pole's residue block is
+/// zero-padded to a multiple of this, so a tile never reads past it.
+const TILE_E: usize = 4;
+
+const _: () = assert!(
+    EvalPlan::BLOCK.is_multiple_of(TILE_P),
+    "a block holds whole point tiles"
+);
+
 /// Reusable scratch for repeated model evaluations: the `K = I + xT`
 /// buffer and multi-RHS solution of the LU path, and the reciprocal
 /// denominators of the pole–residue path. One workspace serves any number
-/// of sequential points with zero further allocation.
+/// of sequential points with zero further allocation (the block buffers
+/// of [`EvalPlan::eval_many_into`] are sized on its first call).
 #[derive(Debug, Clone)]
 pub struct EvalWorkspace {
     /// `K = I + xT` / its LU factors (recycled through [`Lu::into_matrix`]).
@@ -75,6 +92,15 @@ pub struct EvalWorkspace {
     y: Mat<Complex64>,
     /// Reciprocal denominators `1/(1 + x·λₖ)` of the compiled path.
     denoms: Vec<Complex64>,
+    /// `x = σ − s₀` of each point of the current block.
+    block_x: Vec<Complex64>,
+    /// Output factor `s^output_s_factor` of each point of the block.
+    block_f: Vec<Complex64>,
+    /// Points of the block inside the near-pole band (LU path).
+    block_near: Vec<bool>,
+    /// Reciprocal denominators of the block, point-tile-major:
+    /// `block_c[((b / TILE_P)·q + k)·TILE_P + b % TILE_P]`.
+    block_c: Vec<Complex64>,
 }
 
 impl EvalWorkspace {
@@ -84,6 +110,10 @@ impl EvalWorkspace {
             k: Mat::zeros(order, order),
             y: Mat::zeros(order, ports),
             denoms: vec![Complex64::ZERO; order],
+            block_x: Vec::new(),
+            block_f: Vec::new(),
+            block_near: Vec::new(),
+            block_c: Vec::new(),
         }
     }
 
@@ -104,6 +134,15 @@ impl EvalWorkspace {
         if self.denoms.len() != order {
             self.denoms.resize(order, Complex64::ZERO);
         }
+    }
+
+    /// Sizes the block buffers of the blocked kernel for `order` poles.
+    fn ensure_block(&mut self, order: usize) {
+        let block = EvalPlan::BLOCK;
+        self.block_x.resize(block, Complex64::ZERO);
+        self.block_f.resize(block, Complex64::ZERO);
+        self.block_near.resize(block, false);
+        self.block_c.resize(order * block, Complex64::ZERO);
     }
 }
 
@@ -156,14 +195,44 @@ pub(crate) fn lu_eval_sigma_into(
     Ok(())
 }
 
+/// Rank-1 residues `Wₖ = outer(L[:,k], R[k,:])`, `k`-major: pole `k`'s
+/// `p×p` block sits column-major at `[k·stride, k·stride + p²)`, and the
+/// rest of its `stride` entries are zero padding.
+#[derive(Debug, Clone)]
+enum Residues {
+    /// `J = I`: `L` and `R` are real, so every residue is real. A complex
+    /// residue `(l·r, ±0)` would add only signed zeros to a sum that
+    /// starts at `+0`, which leaves every bit of the sum unchanged.
+    Real(Vec<f64>),
+    /// General path: complex eigenvectors, complex residues.
+    Complex(Vec<Complex64>),
+}
+
 /// The pole–residue data of a successfully diagonalized model.
 #[derive(Debug, Clone)]
 struct PoleResidue {
     /// Eigenvalues `λₖ` of `T`, in the eigensolver's deterministic order.
     lambdas: Vec<Complex64>,
-    /// Rank-1 residues `Wₖ = outer(L[:,k], R[k,:])`, stored as `q`
-    /// consecutive column-major `p×p` blocks: `residues[k·p² + j·p + i]`.
-    residues: Vec<Complex64>,
+    /// Entries per pole in `residues`: `p²` rounded up to [`TILE_E`].
+    stride: usize,
+    residues: Residues,
+}
+
+/// `true` when `d = 1 + xl` lies in the near-pole band
+/// `|d| ≤ NEAR_POLE_REL·(1 + |xl|)`.
+///
+/// A max-norm prefilter decides almost every pair without `hypot`:
+/// `|d| ≥ max(|d.re|, |d.im|)` and `|xl| ≤ |xl.re| + |xl.im|`, and the
+/// `1e-12` relative margin dwarfs the few rounding errors on either side,
+/// so any pair it clears is one the exact test clears too. Only
+/// borderline pairs run the exact test, so every decision is unchanged.
+#[inline]
+fn near_pole(d: Complex64, xl: Complex64) -> bool {
+    let clear = EvalPlan::NEAR_POLE_REL * (1.0 + xl.re.abs() + xl.im.abs()) * (1.0 + 1e-12);
+    if d.re.abs() > clear || d.im.abs() > clear {
+        return false;
+    }
+    d.abs() <= EvalPlan::NEAR_POLE_REL * (1.0 + xl.abs())
 }
 
 /// A compiled evaluation plan for one [`ReducedModel`].
@@ -216,6 +285,11 @@ impl EvalPlan {
     /// 1e-10 band the property tests demand away from poles.
     pub const PROBE_TOL: f64 = 1e-11;
 
+    /// Points whose denominators [`EvalPlan::eval_many_into`] computes
+    /// together before it accumulates their residues. Which block a point
+    /// lands in changes none of its bits.
+    pub const BLOCK: usize = 32;
+
     /// Relative threshold under which `|1 + x·λₖ|` counts as "at a pole"
     /// and the point is routed through the exact LU path.
     const NEAR_POLE_REL: f64 = 1e-8;
@@ -234,9 +308,17 @@ impl EvalPlan {
     /// [`EvalPlan::fallback_reason`] says why) and evaluates through the
     /// exact LU path instead.
     pub fn compile(model: &ReducedModel) -> EvalPlan {
+        // Share the model's constants when it has them, but do not make
+        // it cache them: a model shared by many sessions (a registry
+        // entry) would keep them after every session dropped its plan.
+        let consts = model
+            .consts
+            .get()
+            .cloned()
+            .unwrap_or_else(|| Arc::new(EvalConsts::of(model)));
         let mut plan = EvalPlan {
             t: model.t.clone(),
-            consts: model.consts().clone(),
+            consts,
             shift: model.shift,
             s_power: model.s_power,
             output_s_factor: model.output_s_factor,
@@ -339,6 +421,13 @@ impl EvalPlan {
     /// Evaluates a slice of frequency points into preallocated outputs,
     /// one workspace, zero per-point allocation.
     ///
+    /// Compiled plans run a point-blocked kernel: the denominators of up
+    /// to [`EvalPlan::BLOCK`] points are computed first, then the output
+    /// entries of two points at a time are accumulated over the poles in
+    /// ascending order in registers. Every entry is the same sum, in the
+    /// same order, with the same operations as [`EvalPlan::eval_into`],
+    /// so the results are bit-identical to a loop of it.
+    ///
     /// # Errors
     ///
     /// Stops at the first point that hits a pole exactly and returns its
@@ -358,15 +447,102 @@ impl EvalPlan {
             outs.len() >= s_values.len(),
             "need one output matrix per point"
         );
-        for (s, out) in s_values.iter().zip(outs.iter_mut()) {
-            self.eval_into(ws, *s, out)?;
+        let Some(pr) = &self.compiled else {
+            for (s, out) in s_values.iter().zip(outs.iter_mut()) {
+                self.eval_into(ws, *s, out)?;
+            }
+            return Ok(());
+        };
+        for out in &outs[..s_values.len()] {
+            assert_eq!(out.nrows(), self.ports, "output must be ports x ports");
+            assert_eq!(out.ncols(), self.ports, "output must be ports x ports");
+        }
+        ws.ensure(self.order, self.ports);
+        ws.ensure_block(self.order);
+        for (sb, ob) in s_values
+            .chunks(Self::BLOCK)
+            .zip(outs.chunks_mut(Self::BLOCK))
+        {
+            self.eval_block(pr, ws, sb, ob)?;
         }
         Ok(())
     }
 
-    /// The fast path: `out = Σₖ Wₖ/(1 + x·λₖ)`. Returns `false` without
-    /// touching `out` when some denominator is too close to zero (the
-    /// point is near a pole and must go through the exact path).
+    /// One block of [`EvalPlan::eval_many_into`]: denominators, then the
+    /// near-pole points through the exact LU path in point order, then
+    /// the register-tiled accumulation for every other point before the
+    /// first exact pole.
+    fn eval_block(
+        &self,
+        pr: &PoleResidue,
+        ws: &mut EvalWorkspace,
+        sb: &[Complex64],
+        ob: &mut [Mat<Complex64>],
+    ) -> Result<(), SympvlError> {
+        let q = pr.lambdas.len();
+        for (b, &s) in sb.iter().enumerate() {
+            let x = ipow(s, self.s_power) - self.shift;
+            ws.block_x[b] = x;
+            ws.block_f[b] = ipow(s, self.output_s_factor);
+            ws.block_near[b] = false;
+            let base = (b / TILE_P) * q * TILE_P + b % TILE_P;
+            for (k, &lam) in pr.lambdas.iter().enumerate() {
+                let xl = x * lam;
+                let d = Complex64::ONE + xl;
+                if near_pole(d, xl) {
+                    ws.block_near[b] = true;
+                    break;
+                }
+                ws.block_c[base + k * TILE_P] = d.recip();
+            }
+        }
+        let mut stop = sb.len();
+        let mut err = None;
+        for b in 0..sb.len() {
+            if !ws.block_near[b] {
+                continue;
+            }
+            let x = ws.block_x[b];
+            if let Err(e) = lu_eval_sigma_into(&self.t, &self.consts, x, ws, &mut ob[b]) {
+                stop = b;
+                err = Some(e);
+                break;
+            }
+            let f = ws.block_f[b];
+            for v in ob[b].as_mut_slice() {
+                *v *= f;
+            }
+        }
+        let pp = self.ports * self.ports;
+        for b0 in (0..stop).step_by(TILE_P) {
+            let live: [bool; TILE_P] =
+                std::array::from_fn(|t| b0 + t < stop && !ws.block_near[b0 + t]);
+            if !live.contains(&true) {
+                continue;
+            }
+            let c = &ws.block_c[(b0 / TILE_P) * q * TILE_P..][..q * TILE_P];
+            for e0 in (0..pp).step_by(TILE_E) {
+                let (re, im) = match &pr.residues {
+                    Residues::Real(w) => tile_real(c, w, e0, pr.stride),
+                    Residues::Complex(w) => tile_complex(c, w, e0, pr.stride),
+                };
+                let width = TILE_E.min(pp - e0);
+                for t in (0..TILE_P).filter(|&t| live[t]) {
+                    let f = ws.block_f[b0 + t];
+                    let out = &mut ob[b0 + t].as_mut_slice()[e0..e0 + width];
+                    for (e, v) in out.iter_mut().enumerate() {
+                        *v = Complex64::new(re[t][e], im[t][e]) * f;
+                    }
+                }
+            }
+        }
+        err.map_or(Ok(()), Err)
+    }
+
+    /// The single-point fast path: `out = Σₖ Wₖ/(1 + x·λₖ)`, poles
+    /// outermost. Returns `false` without touching `out` when some
+    /// denominator is too close to zero (the point is near a pole and
+    /// must go through the exact path).
     fn residue_eval_into(
         pr: &PoleResidue,
         ports: usize,
@@ -377,22 +553,29 @@ impl EvalPlan {
         for (k, &lam) in pr.lambdas.iter().enumerate() {
             let xl = x * lam;
             let d = Complex64::ONE + xl;
-            if d.abs() <= Self::NEAR_POLE_REL * (1.0 + xl.abs()) {
+            if near_pole(d, xl) {
                 return false;
             }
             ws.denoms[k] = d.recip();
         }
-        for v in out.as_mut_slice() {
-            *v = Complex64::ZERO;
-        }
+        let out = out.as_mut_slice();
+        out.fill(Complex64::ZERO);
         let pp = ports * ports;
-        for (k, &c) in ws.denoms.iter().take(pr.lambdas.len()).enumerate() {
-            let block = &pr.residues[k * pp..(k + 1) * pp];
-            for j in 0..ports {
-                let col = out.col_mut(j);
-                let rk = &block[j * ports..(j + 1) * ports];
-                for (o, &w) in col.iter_mut().zip(rk) {
-                    *o += c * w;
+        let denoms = &ws.denoms[..pr.lambdas.len()];
+        match &pr.residues {
+            Residues::Real(w) => {
+                for (&c, wk) in denoms.iter().zip(w.chunks(pr.stride)) {
+                    for (o, &w) in out.iter_mut().zip(&wk[..pp]) {
+                        o.re += c.re * w;
+                        o.im += c.im * w;
+                    }
+                }
+            }
+            Residues::Complex(w) => {
+                for (&c, wk) in denoms.iter().zip(w.chunks(pr.stride)) {
+                    for (o, &w) in out.iter_mut().zip(&wk[..pp]) {
+                        *o += c * w;
+                    }
                 }
             }
         }
@@ -404,22 +587,26 @@ impl EvalPlan {
     fn diagonalize(&self, model: &ReducedModel) -> Result<PoleResidue, String> {
         let n = self.order;
         let p = self.ports;
+        // At least one tile per pole, so `stride` is never zero.
+        let stride = (p * p).div_ceil(TILE_E).max(1) * TILE_E;
         if n == 0 {
             return Ok(PoleResidue {
                 lambdas: vec![],
-                residues: vec![],
+                stride,
+                residues: Residues::Real(vec![]),
             });
         }
-        let (lambdas, l, r) = if model.identity_j {
+        let (lambdas, residues) = if model.identity_j {
             // Symmetric path: T = Q Λ Qᵀ with orthogonal Q — perfectly
-            // conditioned, real arithmetic until the final lift.
+            // conditioned, and real arithmetic throughout.
             let e = sym_eigen(&self.t).map_err(|e| format!("symmetric eigensolver: {e}"))?;
             let lambdas: Vec<Complex64> =
                 e.values.iter().map(|&v| Complex64::from_real(v)).collect();
             let drho = model.delta.matmul(&model.rho);
-            let l = drho.t_matmul(&e.vectors).map(Complex64::from_real);
-            let r = e.vectors.t_matmul(&model.rho).map(Complex64::from_real);
-            (lambdas, l, r)
+            let l = drho.t_matmul(&e.vectors);
+            let r = e.vectors.t_matmul(&model.rho);
+            let residues = residue_blocks(n, p, stride, 0.0, |i, j, k| l[(i, k)] * r[(k, j)]);
+            (lambdas, Residues::Real(residues))
         } else {
             // General path: complex eigenvector basis; reject defective /
             // near-defective T via the basis conditioning.
@@ -436,21 +623,19 @@ impl EvalPlan {
                 .solve_mat(&self.consts.rho_c)
                 .map_err(|_| "eigenvector basis solve failed".to_string())?;
             let l = self.consts.drho_c.t_matmul(&e.vectors);
-            (e.values, l, r)
+            let residues = residue_blocks(n, p, stride, Complex64::ZERO, |i, j, k| {
+                l[(i, k)] * r[(k, j)]
+            });
+            (e.values, Residues::Complex(residues))
         };
-        // Residues W_k[i,j] = L[i,k] · R[k,j], stored k-major column-major.
-        let mut residues = Vec::with_capacity(n * p * p);
-        for k in 0..n {
-            for j in 0..p {
-                for i in 0..p {
-                    residues.push(l[(i, k)] * r[(k, j)]);
-                }
-            }
-        }
         // Seed the model's eigenvalue cache: these are exactly the values
         // `sigma_poles` computes, so pole queries reuse them bit-for-bit.
         model.seed_t_eigenvalues(&lambdas);
-        Ok(PoleResidue { lambdas, residues })
+        Ok(PoleResidue {
+            lambdas,
+            stride,
+            residues,
+        })
     }
 
     /// Compares the candidate compiled form against the exact LU path at
@@ -510,6 +695,76 @@ impl EvalPlan {
         }
         Ok(())
     }
+}
+
+/// Residues `W[i,j,k] = w(i, j, k)` laid out as [`Residues`] describes,
+/// each pole's block zero-padded to `stride` entries.
+fn residue_blocks<T: Copy>(
+    n: usize,
+    p: usize,
+    stride: usize,
+    zero: T,
+    w: impl Fn(usize, usize, usize) -> T,
+) -> Vec<T> {
+    let mut residues = Vec::with_capacity(n * stride);
+    for k in 0..n {
+        for j in 0..p {
+            for i in 0..p {
+                residues.push(w(i, j, k));
+            }
+        }
+        residues.resize((k + 1) * stride, zero);
+    }
+    residues
+}
+
+/// Accumulators of one register tile: `[point][entry]`.
+type Tile = [[f64; TILE_E]; TILE_P];
+
+/// One register tile over real residues: for each of [`TILE_P`] points
+/// and [`TILE_E`] entries, `Σₖ cₖ·wₖ` accumulated in ascending `k` as
+/// `re + c.re·w`, `im + c.im·w`, exactly the single-point path's sums.
+/// `c` holds the tile's denominators (`k`-major, [`TILE_P`] per pole);
+/// the tile's entries start at `e0` in each pole's residue block.
+#[inline(always)]
+fn tile_real(c: &[Complex64], w: &[f64], e0: usize, stride: usize) -> (Tile, Tile) {
+    let mut re = [[0.0; TILE_E]; TILE_P];
+    let mut im = [[0.0; TILE_E]; TILE_P];
+    for (ck, wk) in c.chunks_exact(TILE_P).zip(w.chunks_exact(stride)) {
+        let wk: &[f64; TILE_E] = wk[e0..e0 + TILE_E]
+            .try_into()
+            .expect("padded residue block");
+        for t in 0..TILE_P {
+            let c = ck[t];
+            for e in 0..TILE_E {
+                re[t][e] += c.re * wk[e];
+                im[t][e] += c.im * wk[e];
+            }
+        }
+    }
+    (re, im)
+}
+
+/// [`tile_real`] over complex residues: `o + c·w` with the full complex
+/// product, exactly the single-point path's sums.
+#[inline(always)]
+fn tile_complex(c: &[Complex64], w: &[Complex64], e0: usize, stride: usize) -> (Tile, Tile) {
+    let mut re = [[0.0; TILE_E]; TILE_P];
+    let mut im = [[0.0; TILE_E]; TILE_P];
+    for (ck, wk) in c.chunks_exact(TILE_P).zip(w.chunks_exact(stride)) {
+        let wk: &[Complex64; TILE_E] = wk[e0..e0 + TILE_E]
+            .try_into()
+            .expect("padded residue block");
+        for t in 0..TILE_P {
+            let c = ck[t];
+            for e in 0..TILE_E {
+                let p = c * wk[e];
+                re[t][e] += p.re;
+                im[t][e] += p.im;
+            }
+        }
+    }
+    (re, im)
 }
 
 #[cfg(test)]
@@ -605,6 +860,33 @@ mod tests {
         plan.eval_sigma_into(&mut ws, Complex64::ONE, &mut out)
             .unwrap();
         assert!(out.as_slice().iter().all(|z| *z == Complex64::ZERO));
+    }
+
+    #[test]
+    fn dim_zero_plan_sweeps_to_zero() {
+        // Three ports: the blocked kernel walks three entry tiles over
+        // an empty residue array.
+        let m = ReducedModel::from_parts(
+            Mat::zeros(0, 0),
+            Mat::zeros(0, 0),
+            Mat::zeros(0, 3),
+            0.0,
+            1,
+            1,
+            true,
+            0,
+        );
+        let plan = EvalPlan::compile(&m);
+        assert!(plan.is_compiled());
+        let mut ws = plan.workspace();
+        let s = [Complex64::new(0.0, 1.0), Complex64::new(0.0, 2.0)];
+        let mut stale = Mat::zeros(3, 3);
+        stale.as_mut_slice().fill(Complex64::ONE);
+        let mut outs = vec![stale; 2];
+        plan.eval_many_into(&mut ws, &s, &mut outs).unwrap();
+        assert!(outs
+            .iter()
+            .all(|o| o.as_slice().iter().all(|z| *z == Complex64::ZERO)));
     }
 
     #[test]

@@ -214,3 +214,182 @@ fn poles_agree_between_plan_and_cold_model() {
         assert_eq!(x.im.to_bits(), y.im.to_bits());
     }
 }
+
+/// A random connected RLC network: a spanning tree of resistors,
+/// grounded capacitors, and a series R–L shunt to ground from every
+/// other node. The MNA matrix is indefinite, so models take the general
+/// complex path.
+fn random_rlc(seed: u64, nodes: usize, ports: usize) -> mpvl_circuit::Circuit {
+    let mut rng = mpvl_testkit::rng::SmallRng::seed_from_u64(seed);
+    let mut ckt = mpvl_circuit::Circuit::new();
+    let gnd = mpvl_circuit::GROUND;
+    let ids: Vec<_> = (0..nodes).map(|_| ckt.add_node()).collect();
+    for (i, &nd) in ids.iter().enumerate() {
+        let parent = if i == 0 || rng.gen_bool(0.3) {
+            gnd
+        } else {
+            ids[rng.gen_range(0..i)]
+        };
+        ckt.add_resistor(&format!("Rt{i}"), nd, parent, rng.gen_range(10.0..1000.0));
+        ckt.add_capacitor(&format!("Cg{i}"), nd, gnd, rng.gen_range(0.1e-12..10e-12));
+        if i % 2 == 1 {
+            let mid = ckt.add_node();
+            ckt.add_resistor(&format!("Rs{i}"), nd, mid, rng.gen_range(1.0..50.0));
+            ckt.add_inductor(&format!("Ls{i}"), mid, gnd, rng.gen_range(0.1e-9..10e-9));
+        }
+    }
+    for (j, &nd) in ids.iter().take(ports).enumerate() {
+        ckt.add_port(&format!("p{j}"), nd, gnd);
+    }
+    ckt
+}
+
+/// `s = j2πf` on a log grid over `[10^lo, 10^hi]` Hz.
+fn jw_sweep(points: usize, lo: f64, hi: f64) -> Vec<Complex64> {
+    (0..points)
+        .map(|i| {
+            let t = if points == 1 {
+                0.5
+            } else {
+                i as f64 / (points - 1) as f64
+            };
+            let f = 10f64.powf(lo + (hi - lo) * t);
+            Complex64::new(0.0, 2.0 * std::f64::consts::PI * f)
+        })
+        .collect()
+}
+
+/// Runs `plan.eval_many_into` and a loop of `plan.eval_into` over `s`
+/// and returns both results (each `Err` carries the outputs filled so
+/// far, up to and excluding the failing point).
+type Sweep = Result<Vec<Vec<u64>>, Vec<Vec<u64>>>;
+
+fn blocked_and_pointwise(plan: &EvalPlan, s: &[Complex64]) -> (Sweep, Sweep) {
+    let p = plan.ports();
+    let mut outs: Vec<Mat<Complex64>> = s.iter().map(|_| Mat::zeros(p, p)).collect();
+    let mut ws = plan.workspace();
+    let blocked = match plan.eval_many_into(&mut ws, s, &mut outs) {
+        Ok(()) => Ok(outs.iter().map(cmat_bits).collect()),
+        Err(_) => Err(outs.iter().map(cmat_bits).collect()),
+    };
+    let mut ws = plan.workspace();
+    let mut reference = Vec::new();
+    let mut out = Mat::zeros(p, p);
+    for &si in s {
+        if plan.eval_into(&mut ws, si, &mut out).is_err() {
+            return (blocked, Err(reference));
+        }
+        reference.push(cmat_bits(&out));
+    }
+    (blocked, Ok(reference))
+}
+
+#[test]
+fn blocked_sweep_is_bit_identical_to_pointwise_loop() {
+    let b = EvalPlan::BLOCK;
+    let counts = [1usize, 2, b - 1, b, b + 1, 1000];
+    let ports = [1usize, 3, 5, 17];
+    check(
+        "blocked_sweep_is_bit_identical_to_pointwise_loop",
+        16,
+        (0u64..1000, (0usize..4, 0usize..6), 0u8..4),
+        |&(seed, (pi, ci), kind)| {
+            let p = ports[pi];
+            let nodes = p + 8 + (seed % 7) as usize;
+            let ckt = match kind {
+                0 => random_rc(seed, nodes, p),
+                1 => random_rl(seed, nodes, p),
+                2 => random_lc(seed, nodes, p),
+                _ => random_rlc(seed, nodes, p),
+            };
+            let sys = MnaSystem::assemble(&ckt).unwrap();
+            let order = (2 * p).min(sys.dim());
+            let model = sympvl(&sys, order, &SympvlOptions::default()).unwrap();
+            let plan = EvalPlan::compile(&model);
+            let s = jw_sweep(counts[ci], 5.0, 11.0);
+            let (blocked, reference) = blocked_and_pointwise(&plan, &s);
+            prop_assert!(
+                blocked == reference,
+                "p={p} points={} kind={kind} compiled={}: blocked sweep differs \
+                 from the eval_into loop",
+                s.len(),
+                plan.is_compiled()
+            );
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn blocked_sweep_covers_both_compiled_paths() {
+    // The property above draws from both paths; pin that each one
+    // really compiles for a representative model of its kind.
+    let sys = MnaSystem::assemble(&random_rc(5, 20, 3)).unwrap();
+    let model = sympvl(&sys, 6, &SympvlOptions::default()).unwrap();
+    assert!(model.guarantees_passivity());
+    assert!(EvalPlan::compile(&model).is_compiled());
+    let sys = MnaSystem::assemble(&random_rlc(5, 20, 3)).unwrap();
+    let model = sympvl(&sys, 6, &SympvlOptions::default()).unwrap();
+    assert!(!model.guarantees_passivity(), "expected J != I");
+    let plan = EvalPlan::compile(&model);
+    assert!(plan.is_compiled(), "{:?}", plan.fallback_reason());
+}
+
+#[test]
+fn blocked_sweep_redirects_a_mid_block_near_pole_point_to_lu() {
+    // A point inside the near-pole band, placed mid-block among ordinary
+    // points: the blocked kernel must hand it to LU exactly as
+    // `eval_into` does, and every other point must keep its bits.
+    let sys = MnaSystem::assemble(&rc_ladder(30, 1.0, 1e-12)).unwrap();
+    let model = sympvl(&sys, 8, &SympvlOptions::default()).unwrap();
+    let plan = EvalPlan::compile(&model);
+    assert!(plan.is_compiled());
+    let lam = plan.lambdas().unwrap()[0];
+    let x = -lam.recip() * Complex64::new(1.0 + 1e-9, 0.0);
+    let near = Complex64::from_real(model.shift()) + x; // s_power 1: s = σ
+    let exact = model.eval(near).expect("near, not exact, pole");
+    let mut s = jw_sweep(3 * EvalPlan::BLOCK, 5.0, 11.0);
+    let at = EvalPlan::BLOCK + 5;
+    s[at] = near;
+    let (blocked, reference) = blocked_and_pointwise(&plan, &s);
+    let reference = reference.expect("no exact pole in the sweep");
+    assert_eq!(reference[at], cmat_bits(&exact), "eval_into must use LU");
+    assert_eq!(blocked, Ok(reference));
+}
+
+#[test]
+fn blocked_sweep_stops_at_a_mid_block_exact_pole() {
+    // λ = 1 makes x = −1 an exact pole: `Singular`, with every earlier
+    // output filled and equal to `eval_into`'s, on both compiled paths.
+    for identity_j in [true, false] {
+        let model = sympvl::ReducedModel::from_parts(
+            Mat::from_diag(&[1.0, 0.5, 0.25, 2.0]),
+            Mat::identity(4),
+            Mat::from_rows(&[
+                &[1.0, 0.2, -0.3],
+                &[0.5, 1.0, 0.1],
+                &[-0.4, 0.3, 1.0],
+                &[0.2, -0.1, 0.6],
+            ]),
+            0.0,
+            1,
+            0,
+            identity_j,
+            40,
+        );
+        let plan = EvalPlan::compile(&model);
+        assert!(plan.is_compiled(), "{:?}", plan.fallback_reason());
+        let mut s = jw_sweep(2 * EvalPlan::BLOCK + 7, -2.0, 2.0);
+        let at = EvalPlan::BLOCK + 3;
+        s[at] = Complex64::from_real(-1.0);
+        let (blocked, reference) = blocked_and_pointwise(&plan, &s);
+        let Err(reference) = reference else {
+            panic!("identity_j={identity_j}: eval_into must fail at the exact pole");
+        };
+        assert_eq!(reference.len(), at);
+        let Err(blocked) = blocked else {
+            panic!("identity_j={identity_j}: eval_many_into must fail at the exact pole");
+        };
+        assert_eq!(&blocked[..at], &reference[..], "identity_j={identity_j}");
+    }
+}

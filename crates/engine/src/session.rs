@@ -250,6 +250,9 @@ impl ModelStore {
         }
     }
 
+    /// Retains `model` under a fresh id. A retained entry holding the
+    /// same `Arc` lends it its compiled plan, so re-adopting a shared
+    /// model (a registry hit) compiles nothing.
     fn adopt(&mut self, model: Arc<ReducedModel>) -> ModelId {
         let id = self.next_id;
         self.next_id += 1;
@@ -258,11 +261,12 @@ impl ModelStore {
             self.evictions += 1;
             mpvl_obs::counter_add("engine", "model_evictions", 1);
         }
-        self.entries.push(ModelEntry {
-            id,
-            model,
-            plan: None,
-        });
+        let plan = self
+            .entries
+            .iter()
+            .filter(|e| Arc::ptr_eq(&e.model, &model))
+            .find_map(|e| e.plan.clone());
+        self.entries.push(ModelEntry { id, model, plan });
         ModelId(id)
     }
 
@@ -554,8 +558,13 @@ impl ReductionSession {
     /// from a persisted registry by the service layer — into the
     /// session store, assigning the next [`ModelId`] exactly as
     /// [`ReductionSession::reduce`] would.
-    pub fn adopt_model(&self, model: ReducedModel) -> ModelId {
-        relock(&self.store).adopt(Arc::new(model))
+    ///
+    /// Ids are never reused, even for the same model. When a retained
+    /// entry already holds this very `Arc` (`Arc::ptr_eq`) and has
+    /// compiled its [`EvalPlan`], the new entry shares that plan, and its
+    /// first eval counts as `engine/eval_plan_hits`.
+    pub fn adopt_model(&self, model: Arc<ReducedModel>) -> ModelId {
+        relock(&self.store).adopt(model)
     }
 
     /// Drops a retained model (and its compiled plan) now instead of
@@ -642,13 +651,14 @@ impl ReductionSession {
     }
 
     /// The shared eval core: resolve plans serially (deterministic obs
-    /// counters), flatten every (request, point) pair into one slot pool,
-    /// chunk the pool across workers with per-worker workspaces, then
+    /// counters), flatten every (request, point) pair into one pool,
+    /// chunk the pool across workers with per-worker workspaces, run
+    /// [`EvalPlan::eval_many_into`] over each (chunk ∩ request) run, then
     /// reassemble per-request outcomes in request-index order.
     ///
-    /// Each point's arithmetic is self-contained (its own workspace fill,
-    /// its own output matrix), so the chunk boundaries cannot change a
-    /// single bit of any result — only the wall-clock time.
+    /// No point's arithmetic depends on which run, block or chunk it
+    /// lands in, so the chunk boundaries cannot change a single bit of
+    /// any result — only the wall-clock time.
     fn eval_many(
         &self,
         requests: &[EvalRequest],
@@ -661,93 +671,87 @@ impl ReductionSession {
                     .map(|model| self.plan_for(request.model, &model))
             })
             .collect();
-        struct Slot {
-            req: usize,
-            freq_hz: f64,
-            z: Mat<Complex64>,
-            err: Option<SympvlError>,
-        }
-        let total: usize = requests
-            .iter()
-            .zip(&resolved)
-            .filter(|(_, r)| r.is_ok())
-            .map(|(request, _)| request.freqs_hz.len())
-            .sum();
-        let mut slots: Vec<Slot> = Vec::with_capacity(total);
-        for (i, plan) in resolved.iter().enumerate() {
+        // Request `i`'s points are `s[starts[i]..starts[i + 1]]`; a request
+        // whose plan did not resolve contributes none.
+        let mut starts = Vec::with_capacity(requests.len() + 1);
+        let mut s = Vec::new();
+        let mut z = Vec::new();
+        for (request, plan) in requests.iter().zip(&resolved) {
+            starts.push(s.len());
             if let Ok(plan) = plan {
                 let p = plan.ports();
-                for &f in &requests[i].freqs_hz {
-                    slots.push(Slot {
-                        req: i,
-                        freq_hz: f,
-                        z: Mat::zeros(p, p),
-                        err: None,
-                    });
+                for &f in &request.freqs_hz {
+                    s.push(Complex64::new(0.0, 2.0 * std::f64::consts::PI * f));
+                    z.push(Mat::zeros(p, p));
                 }
             }
         }
-        mpvl_obs::counter_add("engine", "eval_points", slots.len() as u64);
+        starts.push(s.len());
+        mpvl_obs::counter_add("engine", "eval_points", s.len() as u64);
+        // The error of each failed run, keyed by the run's first point.
+        let failures: Mutex<Vec<(usize, SympvlError)>> = Mutex::new(Vec::new());
         {
             let _span = mpvl_obs::span("engine", "eval_points");
             mpvl_par::parallel_for_chunks_with_init(
                 threads,
-                &mut slots,
+                &mut z,
                 |_| None::<(usize, EvalWorkspace)>,
-                |state, _, chunk| {
-                    for slot in chunk.iter_mut() {
-                        let Ok(plan) = &resolved[slot.req] else {
-                            continue; // failed requests contribute no slots
-                        };
-                        // Rebuild the workspace only when the plan changes
-                        // (slots are contiguous per request, so this is
-                        // rare); keyed by plan identity.
+                |state, offset, chunk| {
+                    let end = offset + chunk.len();
+                    for (i, plan) in resolved.iter().enumerate() {
+                        let (lo, hi) = (starts[i].max(offset), starts[i + 1].min(end));
+                        let Ok(plan) = plan else { continue };
+                        if lo >= hi {
+                            continue;
+                        }
+                        // Rebuild the workspace only when the plan changes;
+                        // keyed by plan identity.
                         let key = Arc::as_ptr(plan) as usize;
                         if state.as_ref().map(|(k, _)| *k) != Some(key) {
                             *state = Some((key, plan.workspace()));
                         }
                         let ws = &mut state.as_mut().expect("workspace installed above").1;
-                        let s = Complex64::new(0.0, 2.0 * std::f64::consts::PI * slot.freq_hz);
-                        if let Err(e) = plan.eval_into(ws, s, &mut slot.z) {
-                            slot.err = Some(e);
+                        let run = &mut chunk[lo - offset..hi - offset];
+                        if let Err(e) = plan.eval_many_into(ws, &s[lo..hi], run) {
+                            relock(&failures).push((lo, e));
                         }
                     }
                 },
             );
         }
-        // Reassemble in request-index order; the first failing point of a
-        // request (in frequency order) decides its error, matching the
-        // serial early-exit semantics.
+        // Reassemble in request-index order. Each run stops at its first
+        // failing point, so the request's earliest failing run holds its
+        // first failing point (in frequency order), which decides its
+        // error, matching the serial early-exit semantics.
+        let mut failures = failures
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        failures.sort_by_key(|(lo, _)| *lo);
+        let mut failures = failures.into_iter().peekable();
+        let mut z = z.into_iter();
         let mut out = Vec::with_capacity(requests.len());
-        let mut slot_iter = slots.into_iter().peekable();
         for (i, plan) in resolved.into_iter().enumerate() {
-            match plan {
-                Err(e) => out.push(Err(e)),
-                Ok(_) => {
-                    let mut points = Vec::with_capacity(requests[i].freqs_hz.len());
-                    let mut first_err = None;
-                    while slot_iter.peek().is_some_and(|slot| slot.req == i) {
-                        let slot = slot_iter.next().expect("peeked");
-                        if first_err.is_some() {
-                            continue;
-                        }
-                        match slot.err {
-                            Some(e) => first_err = Some(e),
-                            None => points.push(EvalPoint {
-                                freq_hz: slot.freq_hz,
-                                z: slot.z,
-                            }),
-                        }
-                    }
-                    out.push(match first_err {
-                        Some(e) => Err(e),
-                        None => Ok(EvalOutcome {
-                            model: requests[i].model,
-                            points,
-                        }),
-                    });
-                }
+            if let Err(e) = plan {
+                out.push(Err(e));
+                continue;
             }
+            let mut first_err = None;
+            while let Some((_, e)) = failures.next_if(|(lo, _)| *lo < starts[i + 1]) {
+                first_err.get_or_insert(e);
+            }
+            let points: Vec<EvalPoint> = requests[i]
+                .freqs_hz
+                .iter()
+                .zip(z.by_ref().take(starts[i + 1] - starts[i]))
+                .map(|(&freq_hz, z)| EvalPoint { freq_hz, z })
+                .collect();
+            out.push(match first_err {
+                Some(e) => Err(e),
+                None => Ok(EvalOutcome {
+                    model: requests[i].model,
+                    points,
+                }),
+            });
         }
         out
     }
@@ -1128,12 +1132,28 @@ mod tests {
         assert_eq!(stats.cached_models, 1);
         assert_eq!(stats.model_evictions, 2);
         // Adoption (the registry seam) shares the same id sequence.
-        let d = session.adopt_model(c.model.clone());
+        let d = session.adopt_model(Arc::new(c.model.clone()));
         assert_eq!(d.index(), 3);
         let sweep = session
             .eval(&EvalRequest::new(d, vec![1e8]).unwrap())
             .unwrap();
         assert_eq!(sweep.points.len(), 1);
+    }
+
+    #[test]
+    fn adopting_the_same_arc_shares_its_compiled_plan() {
+        let session = session_with(8);
+        let outcome = session.reduce(&ReduceSpec::pade_fixed(3).unwrap()).unwrap();
+        let model = Arc::new(outcome.model);
+        let a = session.adopt_model(model.clone());
+        let plan = session.plan_for(a, &model);
+        let b = session.adopt_model(model.clone());
+        assert_ne!(a, b, "every adopt issues a new id");
+        assert!(Arc::ptr_eq(&plan, &session.plan_for(b, &model)));
+        // A deep copy is another model as far as the store can tell.
+        let copy = Arc::new((*model).clone());
+        let c = session.adopt_model(copy.clone());
+        assert!(!Arc::ptr_eq(&plan, &session.plan_for(c, &copy)));
     }
 
     #[test]

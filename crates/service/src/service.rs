@@ -728,7 +728,7 @@ impl ReductionService {
         let session = self.session_for(request)?;
         let resolved = match self.registry.get(&request.key_hex) {
             Some(cached) => {
-                let id = session.adopt_model((*cached).clone());
+                let id = session.adopt_model(cached.clone());
                 Resolved::from_registry(id, cached)
             }
             None => {
@@ -854,7 +854,7 @@ impl ReductionService {
             let resolved = match probe {
                 Err(e) => Err(e),
                 Ok(Some(cached)) => {
-                    let id = session.adopt_model((*cached).clone());
+                    let id = session.adopt_model(cached.clone());
                     Ok(Resolved::from_registry(id, cached))
                 }
                 Ok(None) => {

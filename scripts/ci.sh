@@ -194,7 +194,8 @@ MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
 
 test -s target/bench/BENCH_eval.json
 for name in eval_lu/40x2001 eval_compiled/40x2001 \
-    speedup/compiled_vs_lu/40x2001; do
+    speedup/compiled_vs_lu/40x2001 eval_compiled/136x1000 \
+    eval_pointwise/136x1000 gflops/compiled/136x1000; do
     grep -q "\"$name" target/bench/BENCH_eval.json || {
         echo "BENCH_eval.json missing result \"$name\"" >&2
         exit 1
